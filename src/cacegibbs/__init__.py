@@ -28,11 +28,11 @@ from .engine import (
     ModelConfig,
     ModelFit,
     PriorConfig,
-    VARIANTS,
     complier_probability,
     run_chain,
     run_model,
 )
+from .variants import VARIANTS
 from .simulation import (
     BruteForceResult,
     DgpConfig,

@@ -37,6 +37,7 @@ from .errors import (
 )
 from . import runio
 from .simulation import run_monte_carlo
+from .variants import VARIANTS
 
 log = logging.getLogger("cacegibbs")
 
@@ -106,7 +107,7 @@ def cmd_fit(args) -> int:
         config.thin,
         dataset.n,
     )
-    fit = run_model(dataset, config, n_workers=args.workers, progress=_progress_logger)
+    fit = run_model(dataset, config, progress=_progress_logger)
     for failure in fit.failures:
         log.error("chain %d failed: %s", failure.chain_index, failure.message)
 
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--chains", type=int, help="override the chain count")
     fit.add_argument(
         "--variant",
-        choices=["A", "Astar", "B", "Cstar", "D"],
+        choices=VARIANTS,
         help="override the model variant",
     )
     fit.add_argument(
@@ -300,7 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="drop the outcome factor from membership draws of missing-outcome patients",
     )
-    fit.add_argument("--workers", type=int, default=1, help="concurrent chains")
+    fit.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted but unused: chains run one after another in one process",
+    )
     fit.set_defaults(func=cmd_fit)
 
     diag = sub.add_parser("diagnose", help="membership curves, histograms, PSRF")

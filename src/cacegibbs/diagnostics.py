@@ -6,18 +6,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_ndtr
 
 from .data import Dataset, ObservedPattern
-from .engine import Chain, ModelFit, _complier_prob_core, covariate_center
+from .engine import ModelFit, ParameterState, complier_probability, covariate_center
 from .errors import AllUndefinedError, EmptyPatternError, InsufficientDrawsError
-from .outcomes import (
-    GROUP_ALWAYS,
-    GROUP_COMPLIER_CTRL,
-    GROUP_COMPLIER_TRT,
-    GROUP_NEVER,
-    GROUP_NAMES,
-)
 
 DEFAULT_GRID_POINTS = 101
 PSRF_THRESHOLD = 1.06
@@ -120,68 +112,12 @@ def summarize_fit(fit: ModelFit) -> dict[str, PosteriorSummary]:
     return out
 
 
-def _stacked_columns(chains: tuple[Chain, ...]):
-    params = np.concatenate([c.params for c in chains], axis=0)
-    names = chains[0].param_names
-    return {name: params[:, j] for j, name in enumerate(names)}
-
-
-def _membership_prob_matrix(columns, variant, z, x, y):
-    """(n_draws, n_points) complier probabilities for one mixture arm.
-
-    ``y`` may be a scalar, an array aligned with ``x``, or None to drop the
-    outcome factor.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-    if variant in ("A", "Astar", "B"):
-        eta_n = columns["never_probit_intercept"][:, None] + columns[
-            "never_probit_slope"
-        ][:, None] * x
-        eta_a = columns["always_probit_intercept"][:, None] + columns[
-            "always_probit_slope"
-        ][:, None] * x
-        log_phi_n = log_ndtr(eta_n)
-        log_psi_c = log_phi_n + log_ndtr(-eta_a)
-        log_psi_n = log_ndtr(-eta_n)
-        log_psi_a = log_phi_n + log_ndtr(eta_a)
-    elif variant == "Cstar":
-        sn = columns["never_logit_intercept"][:, None] + columns[
-            "never_logit_slope"
-        ][:, None] * x
-        sa = columns["always_logit_intercept"][:, None] + columns[
-            "always_logit_slope"
-        ][:, None] * x
-        sc = np.zeros_like(sn)
-        m = np.maximum(np.maximum(sn, sa), sc)
-        norm = m + np.log(np.exp(sn - m) + np.exp(sa - m) + np.exp(sc - m))
-        log_psi_c, log_psi_n, log_psi_a = sc - norm, sn - norm, sa - norm
-    else:
-        ones = np.ones_like(x)
-        with np.errstate(divide="ignore"):
-            log_psi_c = np.log(columns["prop_complier"][:, None]) * ones
-            log_psi_n = np.log(columns["prop_never"][:, None]) * ones
-            log_psi_a = np.log(columns["prop_always"][:, None]) * ones
-
-    log_psi_t = log_psi_n if z == 0 else log_psi_a
-    if y is None:
-        with np.errstate(invalid="ignore"):
-            diff = log_psi_c - log_psi_t
-        return np.where(np.isnan(diff), 0.5, expit(diff))
-
-    y = np.asarray(y, dtype=float)
-    y = y[None, :] if y.ndim == 1 else y
-    c_group = GROUP_NAMES[GROUP_COMPLIER_CTRL if z == 0 else GROUP_COMPLIER_TRT]
-    t_group = GROUP_NAMES[GROUP_NEVER if z == 0 else GROUP_ALWAYS]
-    sigma2 = columns["sigma2"][:, None]
-
-    def log_g(group):
-        mean = columns[f"y_{group}_intercept"][:, None] + columns[
-            f"y_{group}_slope"
-        ][:, None] * x
-        r = y - mean
-        return -0.5 * (np.log(2.0 * np.pi * sigma2) + r * r / sigma2)
-
-    return _complier_prob_core(log_psi_c, log_psi_t, log_g(c_group), log_g(t_group))
+def _pooled_state(fit: ModelFit) -> ParameterState:
+    """Every saved draw of every chain as one state with a (D, 1) draw axis."""
+    if not fit.chains:
+        raise InsufficientDrawsError("fit has no surviving chains")
+    stacked = np.concatenate([c.params for c in fit.chains], axis=0)
+    return ParameterState.from_vector(fit.config.variant, stacked.T[..., None])
 
 
 @dataclass(frozen=True)
@@ -212,16 +148,13 @@ def complier_prob_grid(
     in raw covariate units; ``dataset`` must be the fitted data, which pins
     the design's covariate origin.
     """
-    if not fit.chains:
-        raise InsufficientDrawsError("fit has no surviving chains")
+    state = _pooled_state(fit)
     x_grid = np.asarray(x_grid, dtype=float)
-    columns = _stacked_columns(fit.chains)
-    probs = _membership_prob_matrix(
-        columns,
-        fit.config.variant,
-        z,
+    probs = complier_probability(
         x_grid - covariate_center(dataset),
         np.full(x_grid.shape, float(y_eval)),
+        z,
+        state,
     )
     return ComplierGrid(
         z=z,
@@ -302,9 +235,7 @@ def complier_probability_estimates(fit: ModelFit, dataset: Dataset) -> np.ndarra
     the membership-model ratio, which is their correct marginal).  Patients
     whose pattern reveals their stratum get exactly 0.
     """
-    if not fit.chains:
-        raise InsufficientDrawsError("fit has no surviving chains")
-    columns = _stacked_columns(fit.chains)
+    state = _pooled_state(fit)
     out = np.zeros(dataset.n)
     for z, pattern in (
         (0, ObservedPattern.MIXTURE_CONTROL_ARM),
@@ -316,14 +247,8 @@ def complier_probability_estimates(fit: ModelFit, dataset: Dataset) -> np.ndarra
         x = dataset.x[idx] - covariate_center(dataset)
         y = dataset.y[idx]
         observed = ~np.isnan(y)
-        if observed.any():
-            probs = _membership_prob_matrix(
-                columns, fit.config.variant, z, x[observed], y[observed]
-            )
-            out[idx[observed]] = probs.mean(axis=0)
-        if (~observed).any():
-            probs = _membership_prob_matrix(
-                columns, fit.config.variant, z, x[~observed], None
-            )
-            out[idx[~observed]] = probs.mean(axis=0)
+        for mask, y_mask in ((observed, y[observed]), (~observed, None)):
+            if mask.any():
+                probs = complier_probability(x[mask], y_mask, z, state)
+                out[idx[mask]] = probs.mean(axis=0)
     return out

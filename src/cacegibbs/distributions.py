@@ -51,11 +51,6 @@ def derive_seed(master_seed: int, *key: int) -> int:
     return int(words[0] ^ (words[1] << 1)) & (2**63 - 1)
 
 
-def standard_normal_cdf(x):
-    """Standard normal CDF, accurate to ~1e-15 and vectorized."""
-    return ndtr(x)
-
-
 def _std_trunc_above(a, rng):
     """Draw standard normals conditioned on being strictly greater than ``a``.
 
@@ -119,14 +114,14 @@ def sample_truncated_normal(mean, sd, bound, side, rng):
     return mean + sd * z
 
 
-def truncated_normal_draws(means, bound, above_mask, rng, clamp_degenerate=True):
+def truncated_normal_draws(means, bound, above_mask, rng):
     """Vector of unit-variance truncated normal draws for the latent utilities.
 
     Each entry i is N(means[i], 1) conditioned on being strictly above
     ``bound`` where ``above_mask[i]`` and strictly below it otherwise.
     Entries whose truncation region has underflowed are clamped to
-    bound +/- 1e-8 on the correct side when ``clamp_degenerate`` is set
-    (treated as a numerically pinned draw); otherwise they raise.
+    bound +/- 1e-8 on the correct side (treated as a numerically pinned
+    draw).
     """
     means = np.asarray(means, dtype=float)
     # flip 'below' entries into 'above' form
@@ -134,11 +129,6 @@ def truncated_normal_draws(means, bound, above_mask, rng, clamp_degenerate=True)
     a = (bound - means) * sign
     degenerate = a > _DEGENERATE_CUTOFF
     if degenerate.any():
-        if not clamp_degenerate:
-            raise DegenerateTruncationError(
-                "truncation region underflowed for "
-                f"{int(degenerate.sum())} entries"
-            )
         a = np.where(degenerate, 0.0, a)
     z = _std_trunc_above(a, rng)
     out = means + sign * z

@@ -4,21 +4,13 @@ Each iteration alternates: stratum membership draws for the two mixture
 patterns, imputation of missing observed outcomes, imputation of complier
 counterfactual outcomes, a stratum-parameter update, an outcome-parameter
 update, and the causal-effect computation over currently labeled compliers.
-
-Model variants
---------------
-A      probit stratum model, per-group covariate slopes
-Astar  probit stratum model, one covariate slope shared by all groups
-B      probit stratum model, no covariate in the outcome model
-Cstar  multinomial-logit stratum model, shared covariate slope
-D      covariate-free stratum proportions, no covariate in the outcome model
+The model variants are listed in ``variants``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
@@ -35,6 +27,7 @@ from .outcomes import (
     OutcomePriors,
     impute_outcomes,
     outcome_groups,
+    outcome_log_density,
     update_outcome_params,
 )
 from .strata import (
@@ -51,59 +44,10 @@ from .strata import (
     update_probit_beta,
     update_proportions,
 )
-
-VARIANTS = ("A", "Astar", "B", "Cstar", "D")
-
-_VARIANT_ALIASES = {"A*": "Astar", "C*": "Cstar"}
-
-PROBIT_PARAM_NAMES = (
-    "never_probit_intercept",
-    "never_probit_slope",
-    "always_probit_intercept",
-    "always_probit_slope",
-)
-MLOGIT_PARAM_NAMES = (
-    "never_logit_intercept",
-    "never_logit_slope",
-    "always_logit_intercept",
-    "always_logit_slope",
-)
-PROPORTION_PARAM_NAMES = ("prop_complier", "prop_never", "prop_always")
-OUTCOME_PARAM_NAMES = (
-    "y_n_intercept",
-    "y_n_slope",
-    "y_a_intercept",
-    "y_a_slope",
-    "y_c0_intercept",
-    "y_c0_slope",
-    "y_c1_intercept",
-    "y_c1_slope",
-    "sigma2",
-)
+from .variants import VARIANT_TABLE, default_param_names, normalize_variant
 
 # how many iterations between mlogit proposal adaptations during burn-in
 _ADAPT_EVERY = 50
-
-
-def normalize_variant(variant: str) -> str:
-    v = _VARIANT_ALIASES.get(variant, variant)
-    if v not in VARIANTS:
-        raise ValidationError(
-            f"unknown variant {variant!r}; expected one of {', '.join(VARIANTS)}"
-        )
-    return v
-
-
-def default_param_names(variant: str) -> tuple[str, ...]:
-    """Scalar parameter names, in saved-draw column order, for a variant."""
-    variant = normalize_variant(variant)
-    if variant in ("A", "Astar", "B"):
-        stratum = PROBIT_PARAM_NAMES
-    elif variant == "Cstar":
-        stratum = MLOGIT_PARAM_NAMES
-    else:
-        stratum = PROPORTION_PARAM_NAMES
-    return stratum + OUTCOME_PARAM_NAMES
 
 
 @dataclass(frozen=True)
@@ -174,18 +118,32 @@ class ParameterState:
     outcome: OutcomeParams
 
     def to_vector(self) -> np.ndarray:
-        s = self.stratum
-        if isinstance(s, ProbitStratumParams):
-            head = s.beta
-        elif isinstance(s, MlogitStratumParams):
-            head = np.concatenate([s.gamma_n, s.gamma_a])
-        elif isinstance(s, StratumProportions):
-            head = s.pi
-        else:
-            raise TypeError(f"unknown stratum params {type(s)!r}")
+        """Parameters in saved-draw column order (``default_param_names``)."""
+        # each stratum type's fields hold its saved columns in order
+        head = [getattr(self.stratum, f.name) for f in fields(self.stratum)]
         return np.concatenate(
-            [head, self.outcome.alpha.ravel(), [self.outcome.sigma2]]
+            [*head, self.outcome.alpha.ravel(), [self.outcome.sigma2]]
         )
+
+    @classmethod
+    def from_vector(cls, variant: str, vector) -> ParameterState:
+        """Inverse of ``to_vector``.
+
+        Axes of ``vector`` after the first become trailing draw axes of every
+        coefficient: a (n_params, D, 1) stack of saved draws gives one state
+        whose membership kernels return (D, n) arrays for n patients.
+        """
+        spec = VARIANT_TABLE[variant]
+        v = np.asarray(vector, dtype=float)
+        k = len(spec.stratum_names)
+        if spec.family == "probit":
+            stratum = ProbitStratumParams(v[:k])
+        elif spec.family == "mlogit":
+            stratum = MlogitStratumParams(v[:2], v[2:k])
+        else:
+            stratum = StratumProportions(v[:k])
+        alpha = v[k:-1].reshape(4, 2, *v.shape[1:])
+        return cls(stratum, OutcomeParams(alpha, v[-1], variant))
 
 
 @dataclass
@@ -195,7 +153,6 @@ class StratumState:
     labels: np.ndarray  # stratum codes, known patients fixed
     y_fill: np.ndarray  # observed outcome, or current imputation
     y_cf: np.ndarray  # complier counterfactual outcome, NaN elsewhere
-    cf_from_trt: np.ndarray  # counterfactual drawn from treated complier group
     u_never: np.ndarray | None = None
     u_split: np.ndarray | None = None
 
@@ -205,19 +162,11 @@ class Chain:
     """Saved draws of one chain."""
 
     chain_index: int
-    variant: str
-    seed: int
-    stream_id: int
-    burn_in: int
-    kept: int
     thin: int
-    n_patients: int
     param_names: tuple[str, ...]
     params: np.ndarray  # (n_saved, n_params)
     cace: np.ndarray  # (n_saved,), NaN where no compliers were labeled
     n_compliers: np.ndarray  # (n_saved,)
-    complier_bits: np.ndarray  # (n_saved, ceil(n/8)) packed complier indicators
-    cf_trt_bits: np.ndarray  # same packing; set where counterfactual came from arm 1
 
     @property
     def n_saved(self) -> int:
@@ -230,17 +179,6 @@ class Chain:
     @property
     def n_undefined_cace(self) -> int:
         return int(np.isnan(self.cace).sum())
-
-    def complier_indicators(self) -> np.ndarray:
-        """Unpacked (n_saved, n_patients) boolean complier indicators."""
-        return np.unpackbits(self.complier_bits, axis=1, count=self.n_patients).astype(
-            bool
-        )
-
-    def cf_trt_indicators(self) -> np.ndarray:
-        return np.unpackbits(self.cf_trt_bits, axis=1, count=self.n_patients).astype(
-            bool
-        )
 
 
 @dataclass(frozen=True)
@@ -309,27 +247,6 @@ def resolve_outcome_priors(dataset: Dataset, priors: PriorConfig) -> OutcomePrio
     )
 
 
-def _log_density_at(y, x, group, outcome: OutcomeParams):
-    mean = outcome.alpha[group, 0] + outcome.alpha[group, 1] * x
-    r = y - mean
-    return -0.5 * (np.log(2.0 * np.pi * outcome.sigma2) + r * r / outcome.sigma2)
-
-
-def _complier_prob_core(log_psi_c, log_psi_t, log_g_c, log_g_t):
-    """Stable Bernoulli probability for the mixture membership draw.
-
-    Works entirely in log space; when both strata are impossible under the
-    current parameters (both log membership probabilities -inf) the draw
-    degrades to an even split.
-    """
-    log_num = log_psi_c + log_g_c
-    log_alt = log_psi_t + log_g_t
-    with np.errstate(invalid="ignore"):
-        diff = log_num - log_alt
-    p = expit(diff)
-    return np.where(np.isnan(diff), 0.5, p)
-
-
 def complier_probability(x, y, z, state: ParameterState):
     """Posterior probability that a mixture patient is a complier.
 
@@ -337,21 +254,25 @@ def complier_probability(x, y, z, state: ParameterState):
     for a treated-arm patient (z=1) it is always-taker.  ``y`` may be the
     observed or currently imputed outcome; pass ``y=None`` to drop the
     outcome-density factor and use the membership probabilities alone.
+    Works entirely in log space; when both strata are impossible under the
+    current parameters (both log membership probabilities -inf) the draw
+    degrades to an even split.  A ``state`` with trailing draw axes
+    (``ParameterState.from_vector``) gives one row per draw.
     """
     x = np.asarray(x, dtype=float)
     log_psi_c, log_psi_n, log_psi_a = log_stratum_probs(x, state.stratum)
     if z == 0:
-        log_psi_t, t_group, c_group = log_psi_n, GROUP_NEVER, GROUP_COMPLIER_CTRL
+        log_alt, t_group, c_group = log_psi_n, GROUP_NEVER, GROUP_COMPLIER_CTRL
     else:
-        log_psi_t, t_group, c_group = log_psi_a, GROUP_ALWAYS, GROUP_COMPLIER_TRT
-    if y is None:
-        with np.errstate(invalid="ignore"):
-            diff = log_psi_c - log_psi_t
-        return np.where(np.isnan(diff), 0.5, expit(diff))
-    y = np.asarray(y, dtype=float)
-    log_g_c = _log_density_at(y, x, c_group, state.outcome)
-    log_g_t = _log_density_at(y, x, t_group, state.outcome)
-    return _complier_prob_core(log_psi_c, log_psi_t, log_g_c, log_g_t)
+        log_alt, t_group, c_group = log_psi_a, GROUP_ALWAYS, GROUP_COMPLIER_TRT
+    log_num = log_psi_c
+    if y is not None:
+        y = np.asarray(y, dtype=float)
+        log_num = log_num + outcome_log_density(y, x, c_group, state.outcome)
+        log_alt = log_alt + outcome_log_density(y, x, t_group, state.outcome)
+    with np.errstate(invalid="ignore"):
+        diff = log_num - log_alt
+    return np.where(np.isnan(diff), 0.5, expit(diff))
 
 
 class _ChainContext:
@@ -360,6 +281,7 @@ class _ChainContext:
     def __init__(self, dataset: Dataset, config: ModelConfig):
         self.config = config
         self.variant = config.variant
+        self.spec = VARIANT_TABLE[config.variant]
         self.z = dataset.z.astype(np.int8)
         self.x = dataset.x - covariate_center(dataset)
         self.y = dataset.y
@@ -420,7 +342,6 @@ def _impute_missing(ctx: _ChainContext, state, params: ParameterState, rng):
 def _impute_counterfactuals(ctx: _ChainContext, state, params: ParameterState, rng):
     compl = state.labels == COMPLIER
     state.y_cf.fill(np.nan)
-    state.cf_from_trt.fill(False)
     idx = np.nonzero(compl)[0]
     if idx.size == 0:
         return
@@ -428,14 +349,15 @@ def _impute_counterfactuals(ctx: _ChainContext, state, params: ParameterState, r
         ctx.z[idx] == 1, GROUP_COMPLIER_CTRL, GROUP_COMPLIER_TRT
     ).astype(np.int8)
     state.y_cf[idx] = impute_outcomes(ctx.x[idx], cf_groups, params.outcome, rng)
-    state.cf_from_trt[idx] = cf_groups == GROUP_COMPLIER_TRT
 
 
 def compute_cace(state: StratumState, z) -> tuple[float, int]:
     """Mean complier treatment-minus-control difference at the current draw.
 
-    Returns (value, n_compliers); the value is NaN when no patient is
-    currently labeled a complier.
+    The mean of y(1) - y(0) over the patients labeled compliers, each with
+    its observed (or imputed) outcome in its own arm and its imputed
+    counterfactual in the other.  Returns (value, n_compliers); the value is
+    NaN when no patient is currently labeled a complier.
     """
     compl = state.labels == COMPLIER
     n_c = int(compl.sum())
@@ -461,8 +383,9 @@ def gibbs_iteration(
     _impute_missing(ctx, state, params, rng)
     _impute_counterfactuals(ctx, state, params, rng)
 
+    family = ctx.spec.family
     try:
-        if ctx.variant in ("A", "Astar", "B"):
+        if family == "probit":
             state.u_never, state.u_split = sample_latent_utilities(
                 state.labels, ctx.x, params.stratum, rng
             )
@@ -473,7 +396,7 @@ def gibbs_iteration(
                 ctx.config.priors.beta_variance,
                 rng,
             )
-        elif ctx.variant == "Cstar":
+        elif family == "mlogit":
             stratum = update_mlogit_gamma(
                 params.stratum,
                 state.labels,
@@ -524,10 +447,10 @@ def _initial_params(ctx: _ChainContext, chain_index: int, rng) -> ParameterState
     """
     delta = 1.0 if chain_index % 2 == 0 else -1.0
     pr = ctx.config.priors
-    if ctx.variant in ("A", "Astar", "B"):
+    if ctx.spec.family == "probit":
         off = delta * np.sqrt(pr.beta_variance)
         stratum = ProbitStratumParams(np.array([off, 0.0, off, 0.0]))
-    elif ctx.variant == "Cstar":
+    elif ctx.spec.family == "mlogit":
         off = delta * np.sqrt(pr.mlogit_variance)
         stratum = MlogitStratumParams(
             np.array([off, 0.0]), np.array([-off, 0.0])
@@ -557,7 +480,6 @@ def _initial_state(ctx: _ChainContext, params: ParameterState, rng) -> StratumSt
         labels=labels,
         y_fill=y_fill,
         y_cf=np.full(ctx.n, np.nan),
-        cf_from_trt=np.zeros(ctx.n, dtype=bool),
     )
     _impute_missing(ctx, state, params, rng)
     return state
@@ -575,16 +497,12 @@ def run_chain(
     rng = RngStream(seed=config.seed, stream_id=chain_index).generator()
     params = _initial_params(ctx, chain_index, rng)
     state = _initial_state(ctx, params, rng)
-    proposal = MlogitProposal.default() if ctx.variant == "Cstar" else None
+    proposal = MlogitProposal.default() if ctx.spec.family == "mlogit" else None
 
     n_saved = config.n_saved_per_chain
-    n_params = len(default_param_names(ctx.variant))
-    saved_params = np.empty((n_saved, n_params))
+    saved_params = np.empty((n_saved, len(ctx.spec.param_names)))
     saved_cace = np.empty(n_saved)
     saved_n_c = np.empty(n_saved, dtype=np.int32)
-    n_bytes = (ctx.n + 7) // 8
-    complier_bits = np.zeros((n_saved, n_bytes), dtype=np.uint8)
-    cf_trt_bits = np.zeros((n_saved, n_bytes), dtype=np.uint8)
 
     total = config.burn_in + config.kept
     save_slot = 0
@@ -602,9 +520,6 @@ def run_chain(
             saved_params[save_slot] = params.to_vector()
             saved_cace[save_slot] = cace
             saved_n_c[save_slot] = n_c
-            compl = state.labels == COMPLIER
-            complier_bits[save_slot] = np.packbits(compl)
-            cf_trt_bits[save_slot] = np.packbits(state.cf_from_trt)
             save_slot += 1
         if progress is not None and (it % 500 == 0 or it == total):
             progress(chain_index, it, total, n_c)
@@ -612,59 +527,26 @@ def run_chain(
     assert save_slot == n_saved
     return Chain(
         chain_index=chain_index,
-        variant=ctx.variant,
-        seed=config.seed,
-        stream_id=chain_index,
-        burn_in=config.burn_in,
-        kept=config.kept,
         thin=config.thin,
-        n_patients=ctx.n,
-        param_names=default_param_names(ctx.variant),
+        param_names=ctx.spec.param_names,
         params=saved_params,
         cace=saved_cace,
         n_compliers=saved_n_c,
-        complier_bits=complier_bits,
-        cf_trt_bits=cf_trt_bits,
     )
 
 
-def run_model(
-    dataset: Dataset, config: ModelConfig, n_workers: int = 1, progress=None
-) -> ModelFit:
-    """Run all chains, optionally concurrently, and pool the survivors.
+def run_model(dataset: Dataset, config: ModelConfig, progress=None) -> ModelFit:
+    """Run all chains one after another and pool the survivors.
 
-    Chains own independent random streams, so the combined draws are
-    identical whatever ``n_workers`` is.  A chain that aborts is reported in
-    ``failures`` while the remaining chains still return their draws.
+    Chain k always draws from random stream k.  A chain that aborts is
+    reported in ``failures`` while the remaining chains still return their
+    draws.
     """
-    indices = list(range(config.n_chains))
-    results: dict[int, Chain] = {}
+    chains: list[Chain] = []
     failures: list[ChainFailure] = []
-
-    def _one(k):
-        return run_chain(dataset, config, k, progress=progress)
-
-    if n_workers > 1 and len(indices) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = {k: pool.submit(_one, k) for k in indices}
-            for k in indices:
-                try:
-                    results[k] = futures[k].result()
-                except ChainAbortError as exc:
-                    failures.append(
-                        ChainFailure(k, type(exc).__name__, str(exc))
-                    )
-    else:
-        for k in indices:
-            try:
-                results[k] = _one(k)
-            except ChainAbortError as exc:
-                failures.append(ChainFailure(k, type(exc).__name__, str(exc)))
-
-    chains = tuple(results[k] for k in sorted(results))
-    return ModelFit(config=config, chains=chains, failures=tuple(failures))
-
-
-def config_with(config: ModelConfig, **kwargs) -> ModelConfig:
-    """Convenience copy-with-overrides for ModelConfig."""
-    return replace(config, **kwargs)
+    for k in range(config.n_chains):
+        try:
+            chains.append(run_chain(dataset, config, k, progress=progress))
+        except ChainAbortError as exc:
+            failures.append(ChainFailure(k, type(exc).__name__, str(exc)))
+    return ModelFit(config=config, chains=tuple(chains), failures=tuple(failures))

@@ -18,6 +18,7 @@ from .distributions import (
 )
 from .errors import SingularPosteriorError
 from .strata import ALWAYS_TAKER, COMPLIER, NEVER_TAKER
+from .variants import VARIANT_TABLE
 
 GROUP_NEVER = 0
 GROUP_ALWAYS = 1
@@ -25,15 +26,6 @@ GROUP_COMPLIER_CTRL = 2
 GROUP_COMPLIER_TRT = 3
 
 GROUP_NAMES = ("n", "a", "c0", "c1")
-
-# slope handling per model variant
-SLOPE_MODE = {
-    "A": "free",
-    "Astar": "shared",
-    "B": "none",
-    "Cstar": "shared",
-    "D": "none",
-}
 
 
 def outcome_group(label: int, z: int) -> int:
@@ -64,6 +56,8 @@ class OutcomeParams:
     """Intercept/slope per group plus the shared noise variance.
 
     ``alpha`` has one (intercept, slope) row per group in GROUP_NAMES order.
+    Like the stratum coefficients, ``alpha`` and ``sigma2`` may carry
+    trailing draw axes, (4, 2, D, 1) and (D, 1), to evaluate D draws at once.
     """
 
     alpha: np.ndarray
@@ -72,13 +66,13 @@ class OutcomeParams:
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
-        if alpha.shape != (4, 2):
+        if alpha.shape[:2] != (4, 2):
             raise ValueError("alpha must be 4x2")
-        if not self.sigma2 > 0:
+        if not np.all(self.sigma2 > 0):
             raise ValueError("sigma2 must be positive")
-        if self.variant not in SLOPE_MODE:
+        if self.variant not in VARIANT_TABLE:
             raise ValueError(f"unknown variant {self.variant!r}")
-        mode = SLOPE_MODE[self.variant]
+        mode = VARIANT_TABLE[self.variant].slope
         slopes = alpha[:, 1]
         if mode == "none" and np.any(slopes != 0.0):
             raise ValueError(f"variant {self.variant} requires zero slopes")
@@ -112,7 +106,7 @@ def group_means(x, groups, params: OutcomeParams):
 
 
 def outcome_log_density(y, x, group, params: OutcomeParams):
-    """Log density of an outcome value in a given group."""
+    """Normal log density of an outcome value in a given outcome group."""
     mean = params.alpha[group, 0] + params.alpha[group, 1] * np.asarray(x, float)
     resid = np.asarray(y, float) - mean
     return -0.5 * (np.log(2.0 * np.pi * params.sigma2) + resid * resid / params.sigma2)
@@ -171,7 +165,7 @@ def update_outcome_params(
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     groups = np.asarray(groups)
-    mode = SLOPE_MODE[variant]
+    mode = VARIANT_TABLE[variant].slope
     counts, sx, sxx, sy, sxy = _group_sums(y, x, groups)
 
     if mode == "shared":
@@ -203,17 +197,9 @@ def update_outcome_params(
 
 
 def impute_outcomes(x, groups, params: OutcomeParams, rng):
-    """Draw outcomes from their group regressions (used for missing values)."""
+    """Draw outcomes from their group regressions.
+
+    Used for missing outcomes and for complier counterfactuals.
+    """
     means = group_means(x, groups, params)
     return means + np.sqrt(params.sigma2) * rng.standard_normal(means.shape)
-
-
-def impute_complier_counterfactual(z_obs, x, params: OutcomeParams, rng):
-    """Draw a complier's unobserved potential outcome, from the opposite arm.
-
-    A complier assigned z draws from the complier group of arm 1-z.
-    Returns (draw, group_used) so callers can audit the arm.
-    """
-    group = GROUP_COMPLIER_CTRL if z_obs == 1 else GROUP_COMPLIER_TRT
-    mean = params.alpha[group, 0] + params.alpha[group, 1] * x
-    return mean + np.sqrt(params.sigma2) * rng.standard_normal(), group

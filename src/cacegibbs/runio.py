@@ -142,7 +142,12 @@ def write_draws_csv(fit: ModelFit, path) -> None:
 
 
 def read_draws_csv(path, config: ModelConfig) -> ModelFit:
-    """Rebuild a ModelFit (scalar draws only) from a draws table."""
+    """Rebuild a ModelFit (scalar draws only) from a draws table.
+
+    The table must be one a fit of ``config`` writes: chains in ascending
+    order of distinct ids below ``n_chains``, each with exactly
+    ``n_saved_per_chain`` rows at iterations thin, 2*thin, ...
+    """
     names = default_param_names(config.variant)
     expected = ["chain", "iteration", *names, "cace", "n_c"]
     with open(path, "r", newline="") as handle:
@@ -161,34 +166,40 @@ def read_draws_csv(path, config: ModelConfig) -> ModelFit:
                 raise ParseError("wrong field count", row=i)
             try:
                 chain_idx = int(row[0])
+                iteration = int(row[1])
                 params = [float(v) for v in row[2 : 2 + len(names)]]
                 cace = math.nan if row[-2] == "" else float(row[-2])
                 n_c = int(row[-1])
             except ValueError as exc:
                 raise ParseError(str(exc), row=i)
-            by_chain.setdefault(chain_idx, []).append((params, cace, n_c))
+            if by_chain and chain_idx < max(by_chain):
+                raise ValidationError(
+                    f"draws table row {i}: chain {chain_idx} out of ascending order"
+                )
+            by_chain.setdefault(chain_idx, []).append((iteration, params, cace, n_c))
 
+    saved = (np.arange(config.n_saved_per_chain) + 1) * config.thin
     chains = []
-    for chain_idx in sorted(by_chain):
-        rows = by_chain[chain_idx]
-        n_saved = len(rows)
-        params = np.array([r[0] for r in rows])
+    for chain_idx, rows in by_chain.items():
+        if not 0 <= chain_idx < config.n_chains:
+            raise ValidationError(
+                f"draws table chain {chain_idx} is not one of the "
+                f"{config.n_chains} chains the config runs"
+            )
+        if [r[0] for r in rows] != saved.tolist():
+            raise ValidationError(
+                f"draws table chain {chain_idx} does not hold the "
+                f"{saved.size} draws at iterations {config.thin}, "
+                f"{2 * config.thin}, ... that the config saves"
+            )
         chains.append(
             Chain(
                 chain_index=chain_idx,
-                variant=config.variant,
-                seed=config.seed,
-                stream_id=chain_idx,
-                burn_in=config.burn_in,
-                kept=config.kept,
                 thin=config.thin,
-                n_patients=0,
                 param_names=names,
-                params=params,
-                cace=np.array([r[1] for r in rows]),
-                n_compliers=np.array([r[2] for r in rows], dtype=np.int32),
-                complier_bits=np.zeros((n_saved, 0), dtype=np.uint8),
-                cf_trt_bits=np.zeros((n_saved, 0), dtype=np.uint8),
+                params=np.array([r[1] for r in rows]),
+                cace=np.array([r[2] for r in rows]),
+                n_compliers=np.array([r[3] for r in rows], dtype=np.int32),
             )
         )
     if not chains:

@@ -3,6 +3,10 @@
 Stratum labels use integer codes COMPLIER=0, NEVER_TAKER=1, ALWAYS_TAKER=2
 throughout; probability tuples are ordered (complier, never-taker,
 always-taker) to match.
+
+Every coefficient array may carry trailing draw axes after its coefficient
+axis (``beta`` of shape (4, D, 1), say): broadcasting against covariates of
+shape (n,) then evaluates all D saved draws at once as (D, n) arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ class ProbitStratumParams:
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float)
-        if beta.shape != (4,):
+        if beta.shape[:1] != (4,):
             raise ValueError("beta must have four entries")
         object.__setattr__(self, "beta", beta)
 
@@ -57,7 +61,7 @@ class MlogitStratumParams:
     def __post_init__(self):
         for name in ("gamma_n", "gamma_a"):
             v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (2,):
+            if v.shape[:1] != (2,):
                 raise ValueError(f"{name} must have two entries")
             object.__setattr__(self, name, v)
 
@@ -70,9 +74,9 @@ class StratumProportions:
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
-        if pi.shape != (3,):
+        if pi.shape[:1] != (3,):
             raise ValueError("pi must have three entries")
-        if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-8:
+        if np.any(pi < 0) or np.any(np.abs(pi.sum(axis=0) - 1.0) > 1e-8):
             raise ValueError("pi must be a probability vector")
         object.__setattr__(self, "pi", pi)
 
@@ -125,6 +129,8 @@ def log_stratum_probs(x, params):
 
     Stays finite far into the tails where the linear probabilities underflow,
     which keeps membership draws well defined for overdispersed chain starts.
+    This is the one membership kernel: the sweep's membership draw, the
+    logit likelihood and the diagnostics (over all saved draws) all use it.
     """
     x = np.asarray(x, dtype=float)
     if isinstance(params, ProbitStratumParams):
@@ -143,7 +149,7 @@ def log_stratum_probs(x, params):
         score_c = np.zeros_like(score_n)
         m = np.maximum(np.maximum(score_n, score_a), score_c)
         norm = m + np.log(
-            np.exp(score_c - m) + np.exp(score_n - m) + np.exp(score_a - m)
+            np.exp(score_n - m) + np.exp(score_a - m) + np.exp(score_c - m)
         )
         return score_c - norm, score_n - norm, score_a - norm
     if isinstance(params, StratumProportions):
@@ -218,11 +224,8 @@ def update_probit_beta(u_never, u_split, x, prior_variance, rng):
 
 def mlogit_log_likelihood(labels, x, params: MlogitStratumParams) -> float:
     """Log likelihood of the current labels under the multinomial logit."""
-    p_c, p_n, p_a = stratum_probs_mlogit(x, params)
-    probs = np.stack([p_c, p_n, p_a], axis=0)
-    picked = probs[np.asarray(labels), np.arange(len(labels))]
-    with np.errstate(divide="ignore"):
-        return float(np.log(picked).sum())
+    log_probs = np.stack(log_stratum_probs(x, params), axis=0)
+    return float(log_probs[np.asarray(labels), np.arange(len(labels))].sum())
 
 
 def _gaussian_log_prior(coefs, prior_variance):

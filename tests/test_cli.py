@@ -5,7 +5,7 @@ import json
 import pytest
 
 from cacegibbs.cli import main
-from cacegibbs.data import write_dataset_csv
+from cacegibbs.data import Dataset, PatientRecord, write_dataset_csv
 from cacegibbs.distributions import RngStream
 from cacegibbs.runio import file_digest
 from cacegibbs.simulation import DgpConfig, generate_dataset
@@ -162,6 +162,35 @@ def test_diagnose_round_trip(dataset_csv, config_json, tmp_path):
     assert manifest["command"] == "diagnose"
     assert manifest["psrf_threshold"] == 1.06
     assert manifest["source_draws_sha256"] == file_digest(fit_out / "draws.csv")
+
+
+def test_fit_with_every_chain_failed_then_diagnose(tmp_path, capsys):
+    # a collinear shared-slope update under a flat prior aborts every chain
+    records = [PatientRecord(f"c{i}", 0, 0, float(40 + i), 12.0) for i in range(10)]
+    records += [PatientRecord(f"t{i}", 1, 1, float(44 + i), 12.0) for i in range(10)]
+    data = tmp_path / "collinear.csv"
+    write_dataset_csv(Dataset(records), data)
+    cfg = tmp_path / "flat.json"
+    cfg.write_text(json.dumps({
+        "variant": "Astar", "burn_in": 20, "kept": 20, "thin": 2, "n_chains": 2,
+        "priors": {"intercept_variance": 1e300, "slope_variance": 1e300},
+    }))
+    fit_out = tmp_path / "fit"
+    assert _fit(data, cfg, fit_out) == 3
+    assert (fit_out / "draws.csv").read_text().splitlines()[1:] == []  # header only
+    assert not (fit_out / "summary.json").exists()
+    manifest = json.loads((fit_out / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"draws.csv"}
+    assert len(manifest["failures"]) == 2
+    capsys.readouterr()
+    code = main(
+        ["diagnose", "--dataset", str(data), "--draws", str(fit_out),
+         "--out", str(tmp_path / "diag")]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValidationError"
+    assert err["message"] == "draws table has no data rows"
 
 
 def test_diagnose_rejects_tampered_draws(dataset_csv, config_json, tmp_path, capsys):

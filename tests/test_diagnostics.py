@@ -98,19 +98,11 @@ def _fake_fit(cace_arrays, seed=63):
         chains.append(
             Chain(
                 chain_index=k,
-                variant="D",
-                seed=0,
-                stream_id=k,
-                burn_in=0,
-                kept=n,
                 thin=1,
-                n_patients=4,
                 param_names=names,
                 params=params,
                 cace=np.asarray(cace, dtype=float),
                 n_compliers=np.ones(n, dtype=np.int32),
-                complier_bits=np.zeros((n, 1), dtype=np.uint8),
-                cf_trt_bits=np.zeros((n, 1), dtype=np.uint8),
             )
         )
     return ModelFit(config=config, chains=tuple(chains), failures=())

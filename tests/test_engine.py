@@ -1,5 +1,7 @@
 """Sampler orchestration checks: configs, membership draws, chains, pooling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,14 @@ from cacegibbs.engine import (
     PriorConfig,
     StratumState,
     _ChainContext,
+    _impute_counterfactuals,
+    _initial_params,
+    _initial_state,
     _sample_memberships,
     complier_probability,
     compute_cace,
-    config_with,
     default_param_names,
+    gibbs_iteration,
     normalize_variant,
     resolve_outcome_priors,
     run_chain,
@@ -24,7 +29,7 @@ from cacegibbs.engine import (
 from cacegibbs.errors import ValidationError
 from cacegibbs.outcomes import OutcomeParams
 from cacegibbs.simulation import DgpConfig, generate_dataset
-from cacegibbs.strata import COMPLIER, StratumProportions
+from cacegibbs.strata import COMPLIER, ProbitStratumParams, StratumProportions
 
 
 def _flat_outcome(intercepts, sigma2, variant="D"):
@@ -141,7 +146,6 @@ def test_membership_frequency_matches_probability():
         labels=ctx.base_labels.copy(),
         y_fill=ctx.y.copy(),
         y_cf=np.full(ctx.n, np.nan),
-        cf_from_trt=np.zeros(ctx.n, dtype=bool),
     )
     rng = RngStream(seed=51).generator()
     _sample_memberships(ctx, state, params, rng)
@@ -157,7 +161,6 @@ def test_compute_cace_direct():
         labels=labels,
         y_fill=np.array([10.0, 3.0, 99.0, 99.0]),
         y_cf=np.array([6.0, 8.0, np.nan, np.nan]),
-        cf_from_trt=np.array([False, True, False, False]),
     )
     value, n_c = compute_cace(state, z)
     # treated complier: 10 - 6; control complier: 8 - 3
@@ -205,20 +208,33 @@ def test_chain_shapes_and_saved_iterations():
 
 
 def test_complier_indicators_only_vary_on_mixture_patients():
+    """Checks on the live sweep state: labels, complier count, counterfactuals."""
     ds = _small_dataset(seed=2)
-    config = ModelConfig(variant="A", **FAST)
-    chain = run_chain(ds, config, 0)
-    ind = chain.complier_indicators()
-    assert ind.shape == (chain.n_saved, ds.n)
+    ctx = _ChainContext(ds, ModelConfig(variant="A", **FAST))
+    rng = RngStream(seed=0).generator()
+    params = _initial_params(ctx, 0, rng)
+    state = _initial_state(ctx, params, rng)
     mixture = (ds.pattern == 0) | (ds.pattern == 3)
-    assert not ind[:, ~mixture].any()  # revealed patients are never compliers
-    assert ind[:, mixture].any()
-    counts = ind.sum(axis=1)
-    assert np.array_equal(counts, chain.n_compliers)
-    # counterfactuals drawn from the treated arm belong to control compliers
-    cf = chain.cf_trt_indicators()
-    expected = ind & (np.asarray(ds.z) == 0)[None, :]
-    assert np.array_equal(cf, expected)
+    z = np.asarray(ds.z)
+    # complier groups far apart, so a counterfactual shows which it came from
+    separated = ParameterState(
+        ProbitStratumParams(np.zeros(4)),
+        _flat_outcome([0.0, 0.0, 100.0, 200.0], 1.0, "A"),
+    )
+    seen = np.zeros(ds.n, dtype=bool)
+    for it in range(1, 61):
+        params, _, n_c = gibbs_iteration(ctx, state, params, rng, None, 0, it)
+        compl = state.labels == COMPLIER
+        seen |= compl
+        assert not compl[~mixture].any()  # revealed patients are never compliers
+        assert n_c == int(compl.sum())
+        assert np.array_equal(~np.isnan(state.y_cf), compl)
+        _impute_counterfactuals(ctx, state, separated, rng)
+        # treated compliers draw from the control complier group, and back
+        assert np.all(np.abs(state.y_cf[compl & (z == 1)] - 100.0) < 6.0)
+        assert np.all(np.abs(state.y_cf[compl & (z == 0)] - 200.0) < 6.0)
+        assert np.all(np.isnan(state.y_cf[~compl]))
+    assert seen[mixture].any()
 
 
 @pytest.mark.parametrize("variant", ["A", "Astar", "B", "Cstar", "D"])
@@ -229,18 +245,6 @@ def test_run_model_bitwise_deterministic(variant):
     fit2 = run_model(ds, config)
     assert len(fit1.chains) == 3
     for c1, c2 in zip(fit1.chains, fit2.chains):
-        assert np.array_equal(c1.params, c2.params)
-        assert np.array_equal(c1.cace, c2.cace, equal_nan=True)
-        assert np.array_equal(c1.complier_bits, c2.complier_bits)
-
-
-def test_run_model_worker_count_does_not_change_draws():
-    ds = _small_dataset(seed=4)
-    config = ModelConfig(variant="Astar", **FAST)
-    serial = run_model(ds, config, n_workers=1)
-    threaded = run_model(ds, config, n_workers=3)
-    for c1, c2 in zip(serial.chains, threaded.chains):
-        assert c1.chain_index == c2.chain_index
         assert np.array_equal(c1.params, c2.params)
         assert np.array_equal(c1.cace, c2.cace, equal_nan=True)
 
@@ -277,7 +281,7 @@ def test_marginal_missing_y_flag_changes_draws():
     ds = Dataset(records)
     base = ModelConfig(variant="Astar", burn_in=50, kept=50, thin=5, n_chains=1)
     joint = run_chain(ds, base, 0)
-    marg = run_chain(ds, config_with(base, marginal_missing_y=True), 0)
+    marg = run_chain(ds, replace(base, marginal_missing_y=True), 0)
     assert not np.array_equal(joint.params, marg.params)
 
 

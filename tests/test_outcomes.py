@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
+from cacegibbs.data import Dataset, PatientRecord
 from cacegibbs.distributions import RngStream
+from cacegibbs.engine import (
+    ModelConfig,
+    ParameterState,
+    StratumState,
+    _ChainContext,
+    _impute_counterfactuals,
+)
 from cacegibbs.outcomes import (
     GROUP_ALWAYS,
     GROUP_COMPLIER_CTRL,
@@ -12,14 +20,13 @@ from cacegibbs.outcomes import (
     OutcomeParams,
     OutcomePriors,
     group_means,
-    impute_complier_counterfactual,
     impute_outcomes,
     outcome_group,
     outcome_groups,
     outcome_log_density,
     update_outcome_params,
 )
-from cacegibbs.strata import ALWAYS_TAKER, COMPLIER, NEVER_TAKER
+from cacegibbs.strata import ALWAYS_TAKER, COMPLIER, NEVER_TAKER, StratumProportions
 
 
 def test_outcome_group_mapping():
@@ -183,25 +190,36 @@ def test_impute_outcomes_moments():
     assert abs(g0.std(ddof=1) - 3.0) < 0.05
 
 
+def _impute_sweep_counterfactuals(records, outcome, seed):
+    """Run the sweep's counterfactual block once, mixture patients as compliers."""
+    ctx = _ChainContext(Dataset(records), ModelConfig(variant=outcome.variant))
+    state = StratumState(ctx.base_labels.copy(), ctx.y.copy(), np.full(ctx.n, np.nan))
+    params = ParameterState(StratumProportions(np.full(3, 1.0 / 3.0)), outcome)
+    _impute_counterfactuals(ctx, state, params, RngStream(seed=seed).generator())
+    return state.y_cf
+
+
 def test_counterfactual_imputation_uses_opposite_arm():
-    rng = RngStream(seed=45).generator()
     alpha = np.array([[0.0, 0.0], [0.0, 0.0], [100.0, 0.0], [200.0, 0.0]])
-    params = OutcomeParams(alpha, 1.0, "D")
+    records = [
+        PatientRecord("t", 1, 1, 50.0, 5.0),  # treated mixture: a complier
+        PatientRecord("c", 0, 0, 60.0, 5.0),  # control mixture: a complier
+        PatientRecord("n", 1, 0, 55.0, 5.0),  # revealed never-taker
+    ]
+    y_cf = _impute_sweep_counterfactuals(records, OutcomeParams(alpha, 1.0, "D"), 45)
     # treated complier draws a control-arm value
-    draw, group = impute_complier_counterfactual(1, 5.0, params, rng)
-    assert group == GROUP_COMPLIER_CTRL
-    assert abs(draw - 100.0) < 6.0
+    assert abs(y_cf[0] - 100.0) < 6.0
     # control complier draws a treated-arm value
-    draw, group = impute_complier_counterfactual(0, 5.0, params, rng)
-    assert group == GROUP_COMPLIER_TRT
-    assert abs(draw - 200.0) < 6.0
+    assert abs(y_cf[1] - 200.0) < 6.0
+    assert np.isnan(y_cf[2])
 
 
 def test_counterfactual_imputation_applies_slope():
-    rng = RngStream(seed=46).generator()
     alpha = np.array([[0.0, 1.5], [0.0, 1.5], [10.0, 1.5], [30.0, 1.5]])
-    params = OutcomeParams(alpha, 0.01, "Astar")
-    draws = np.array(
-        [impute_complier_counterfactual(0, 4.0, params, rng)[0] for _ in range(2000)]
-    )
-    assert abs(draws.mean() - 36.0) < 0.02
+    # the sweep centers x at its sample mean, so these sit at x = 4 and -4
+    records = [PatientRecord(f"c{i}", 0, 0, 40.0 + i % 7, 4.0) for i in range(2000)]
+    records += [PatientRecord(f"t{i}", 1, 1, 40.0 + i % 7, -4.0) for i in range(2000)]
+    outcome = OutcomeParams(alpha, 0.01, "Astar")
+    y_cf = _impute_sweep_counterfactuals(records, outcome, 46)
+    assert abs(y_cf[:2000].mean() - 36.0) < 0.02
+    assert abs(y_cf[2000:].mean() - 4.0) < 0.02

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,6 +157,38 @@ def test_draws_csv_malformed_rows(tmp_path):
         read_draws_csv(path, config)
     path.write_text(lines[0] + "\n")
     with pytest.raises(ValidationError):
+        read_draws_csv(path, config)
+
+
+def test_draws_csv_rejects_ragged_chains(tmp_path):
+    fit, config = _fit()
+    path = tmp_path / DRAWS_NAME
+    write_draws_csv(fit, path)
+    lines = path.read_text().splitlines()
+    n = config.n_saved_per_chain
+    path.write_text("\n".join(lines[:n] + lines[n + 1 :]) + "\n")  # chain 0 short
+    with pytest.raises(ValidationError, match="chain 0"):
+        read_draws_csv(path, config)
+    path.write_text("\n".join([lines[0], *lines[n + 1 :], *lines[1 : n + 1]]) + "\n")
+    with pytest.raises(ValidationError, match="ascending"):
+        read_draws_csv(path, config)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="chain 1"):
+        read_draws_csv(path, replace(config, n_chains=1))
+
+
+def test_draws_csv_rejects_wrong_iterations(tmp_path):
+    fit, config = _fit()
+    path = tmp_path / DRAWS_NAME
+    write_draws_csv(fit, path)
+    lines = path.read_text().splitlines()
+    with pytest.raises(ValidationError, match="iterations"):
+        read_draws_csv(path, replace(config, thin=3))
+    fields = lines[2].split(",")
+    fields[1] = str(int(fields[1]) + 1)
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="iterations"):
         read_draws_csv(path, config)
 
 
