@@ -190,8 +190,14 @@ def update_outcome_params(
             alpha[g, 0] = post_mean + rng.standard_normal() / np.sqrt(post_prec)
 
     resid = y - group_means(x, groups, OutcomeParams(alpha, 1.0, variant))
+    # an elementwise sum, not resid @ resid: at large n the BLAS dot leaves a
+    # worker thread spinning that slows the rest of the sweep
     precision = sample_precision_gamma(
-        float(resid @ resid), y.size, priors.precision_shape, priors.precision_rate, rng
+        float((resid * resid).sum()),
+        y.size,
+        priors.precision_shape,
+        priors.precision_rate,
+        rng,
     )
     return OutcomeParams(alpha, 1.0 / precision, variant)
 
