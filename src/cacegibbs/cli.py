@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .data import ingest_dataset, summarize_dataset
+from .data import ingest_dataset
 from .diagnostics import (
     complier_prob_grid,
     default_x_grid,
@@ -25,14 +25,9 @@ from .diagnostics import (
 )
 from .engine import ModelConfig, run_model
 from .errors import (
-    CacegibbsError,
-    CalibrationError,
     DigestMismatchError,
-    EmptyArmError,
-    EmptyPatternError,
+    InputError,
     InsufficientDrawsError,
-    ParseError,
-    TooLargeError,
     ValidationError,
 )
 from . import runio
@@ -47,18 +42,7 @@ EXIT_PARTIAL = 3
 EXIT_CONSISTENCY = 4
 EXIT_INTERNAL = 5
 
-_INPUT_ERRORS = (
-    ParseError,
-    ValidationError,
-    EmptyArmError,
-    CalibrationError,
-    TooLargeError,
-    EmptyPatternError,
-    InsufficientDrawsError,
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
-)
+_INPUT_ERRORS = (InputError, FileNotFoundError, IsADirectoryError, PermissionError)
 
 
 def _setup_logging(verbose: bool) -> None:
@@ -72,21 +56,20 @@ def _emit_error(exc: BaseException) -> None:
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
+def _override(config, **options):
+    """``config`` with every option the command line set."""
+    given = {name: value for name, value in options.items() if value is not None}
+    return dataclasses.replace(config, **given)
+
+
 def _load_model_config(args) -> ModelConfig:
     data = runio.load_json_config(args.config) if args.config else {}
-    config = runio.config_from_dict(data)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.chains is not None:
-        overrides["n_chains"] = args.chains
-    if args.variant is not None:
-        overrides["variant"] = args.variant
-    if args.marginal_missing_y:
-        overrides["marginal_missing_y"] = True
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+    return _override(
+        runio.config_from_dict(data),
+        seed=args.seed,
+        n_chains=args.chains,
+        variant=args.variant,
+    )
 
 
 def _progress_logger(chain_index, iteration, total, n_c):
@@ -111,19 +94,18 @@ def cmd_fit(args) -> int:
     for failure in fit.failures:
         log.error("chain %d failed: %s", failure.chain_index, failure.message)
 
-    outputs = {}
-    draws_path = out / runio.DRAWS_NAME
-    runio.write_draws_csv(fit, draws_path)
-    outputs[runio.DRAWS_NAME] = runio.file_digest(draws_path)
+    outputs = {
+        runio.DRAWS_NAME: runio.write_draws_csv(fit, out / runio.DRAWS_NAME)
+    }
     if fit.chains:
-        summary_path = out / "summary.json"
-        runio.write_json(summary_path, runio.summary_payload(fit))
-        outputs["summary.json"] = runio.file_digest(summary_path)
+        outputs["summary.json"] = runio.write_json(
+            out / "summary.json", runio.summary_payload(fit)
+        )
 
     manifest = runio.make_manifest(
         command="fit",
         dataset_path=args.dataset,
-        config_dict=runio.config_to_dict(config),
+        config_dict=dataclasses.asdict(config),
         seeds={
             "seed": config.seed,
             "chain_stream_ids": list(range(config.n_chains)),
@@ -140,18 +122,26 @@ def cmd_fit(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    if args.bins is not None and args.bins < 1:
+        raise ValidationError("--bins must be at least 1")
+    if args.grid_points < 1:
+        raise ValidationError("--grid-points must be at least 1")
     draws_dir = Path(args.draws)
     manifest = runio.read_manifest(draws_dir)
     if manifest.get("command") != "fit":
         raise ValidationError("manifest does not describe a fit run")
-    config = runio.config_from_dict(manifest["config"])
+    try:
+        config_data = manifest["config"]
+        dataset_sha = manifest["dataset"]["sha256"]
+        draws_sha = manifest["outputs"][runio.DRAWS_NAME]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"fit manifest lacks an entry: {exc!r}")
+    config = runio.config_from_dict(config_data)
 
     # both inputs must match the digests the fit recorded
-    runio.check_digest(args.dataset, manifest["dataset"]["sha256"], "dataset")
+    runio.check_digest(args.dataset, dataset_sha, "dataset")
     draws_path = draws_dir / runio.DRAWS_NAME
-    runio.check_digest(
-        draws_path, manifest["outputs"][runio.DRAWS_NAME], "draws table"
-    )
+    runio.check_digest(draws_path, draws_sha, "draws table")
 
     dataset = ingest_dataset(args.dataset)
     fit = runio.read_draws_csv(draws_path, config)
@@ -159,65 +149,43 @@ def cmd_diagnose(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     outputs = {}
 
-    summaries = summarize_dataset(dataset)
     grid = default_x_grid(dataset, args.grid_points)
-    from .data import ObservedPattern
-
-    for z, pattern in (
-        (0, ObservedPattern.MIXTURE_CONTROL_ARM),
-        (1, ObservedPattern.MIXTURE_TREATED_ARM),
-    ):
-        stats = summaries[pattern]
-        y_eval = stats.y_mean
-        if y_eval is None:
-            pooled = dataset.y[~dataset.y_missing]
-            y_eval = float(pooled.mean())
-        curve = complier_prob_grid(fit, dataset, z, y_eval, grid)
-        name = f"complier_grid_z{z}.csv"
-        with open(out / name, "w", newline="") as handle:
-            handle.write("x,mean,lo,hi\n")
-            for j in range(curve.x.size):
-                handle.write(
-                    ",".join(
-                        runio.fmt(v)
-                        for v in (curve.x[j], curve.mean[j], curve.lo[j], curve.hi[j])
-                    )
-                    + "\n"
-                )
-        outputs[name] = runio.file_digest(out / name)
-
+    for z in (0, 1):
         hist = shaded_histogram(fit, dataset, z, n_bins=args.bins)
+        curve = complier_prob_grid(fit, dataset, z, hist.y_eval, grid)
+        name = f"complier_grid_z{z}.csv"
+        outputs[name] = runio.write_csv(
+            out / name,
+            ["x", "mean", "lo", "hi"],
+            zip(curve.x, curve.mean, curve.lo, curve.hi),
+        )
         name = f"shaded_hist_z{z}.csv"
-        with open(out / name, "w", newline="") as handle:
-            handle.write("bin_lo,bin_hi,count,shading\n")
-            for j in range(hist.counts.size):
-                handle.write(
-                    f"{runio.fmt(hist.bin_lo[j])},{runio.fmt(hist.bin_hi[j])},"
-                    f"{int(hist.counts[j])},{runio.fmt(hist.shading[j])}\n"
-                )
-        outputs[name] = runio.file_digest(out / name)
+        outputs[name] = runio.write_csv(
+            out / name,
+            ["bin_lo", "bin_hi", "count", "shading"],
+            zip(hist.bin_lo, hist.bin_hi, hist.counts, hist.shading),
+        )
 
-    name = "psrf.csv"
     try:
         report = psrf_report(fit)
-        with open(out / name, "w", newline="") as handle:
-            handle.write("parameter,psrf,above_threshold\n")
-            for pname, entry in report.items():
-                value = "inf" if entry.value == float("inf") else runio.fmt(entry.value)
-                handle.write(f"{pname},{value},{int(entry.above_threshold)}\n")
-        outputs[name] = runio.file_digest(out / name)
     except InsufficientDrawsError as exc:
         log.warning("skipping psrf.csv: %s", exc)
+    else:
+        outputs["psrf.csv"] = runio.write_csv(
+            out / "psrf.csv",
+            ["parameter", "psrf", "above_threshold"],
+            ((name, e.value, e.above_threshold) for name, e in report.items()),
+        )
 
     manifest_out = runio.make_manifest(
         command="diagnose",
         dataset_path=args.dataset,
-        config_dict=runio.config_to_dict(config),
+        config_dict=dataclasses.asdict(config),
         seeds={"source_fit_seed": config.seed},
         outputs=outputs,
         extra={
             "source_draws": str(draws_path),
-            "source_draws_sha256": manifest["outputs"][runio.DRAWS_NAME],
+            "source_draws_sha256": draws_sha,
             "psrf_threshold": PSRF_THRESHOLD,
         },
     )
@@ -228,14 +196,9 @@ def cmd_diagnose(args) -> int:
 
 def cmd_simulate(args) -> int:
     data = runio.load_json_config(args.config) if args.config else {}
-    mc = runio.mc_config_from_dict(data)
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.reps is not None:
-        overrides["reps"] = args.reps
-    if overrides:
-        mc = dataclasses.replace(mc, **overrides)
+    mc = _override(
+        runio.mc_config_from_dict(data), master_seed=args.seed, reps=args.reps
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -253,18 +216,18 @@ def cmd_simulate(args) -> int:
     )
     result = run_monte_carlo(mc, progress=progress)
 
-    outputs = {}
-    for name, writer in (
-        ("mc_results.csv", runio.write_mc_results_csv),
-        ("mc_replicates.csv", runio.write_mc_replicates_csv),
-    ):
-        writer(result, out / name)
-        outputs[name] = runio.file_digest(out / name)
+    outputs = {
+        name: writer(result, out / name)
+        for name, writer in (
+            ("mc_results.csv", runio.write_mc_results_csv),
+            ("mc_replicates.csv", runio.write_mc_replicates_csv),
+        )
+    }
 
     manifest = runio.make_manifest(
         command="simulate",
         dataset_path=None,
-        config_dict=runio.mc_config_to_dict(mc),
+        config_dict=dataclasses.asdict(mc),
         seeds={"master_seed": mc.master_seed},
         outputs=outputs,
         extra={"cells_failed": sum(c.n_failed for c in result.cells)},
@@ -295,11 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant",
         choices=VARIANTS,
         help="override the model variant",
-    )
-    fit.add_argument(
-        "--marginal-missing-y",
-        action="store_true",
-        help="drop the outcome factor from membership draws of missing-outcome patients",
     )
     fit.add_argument(
         "--workers",
@@ -338,9 +296,6 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         _emit_error(exc)
         return EXIT_INPUT
-    except CacegibbsError as exc:
-        _emit_error(exc)
-        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - map anything unexpected to exit 5
         _emit_error(exc)
         return EXIT_INTERNAL

@@ -97,17 +97,6 @@ class Dataset:
         for arr in (self.z, self.d_obs, self.x, self.y, self.y_missing, self.pattern):
             arr.flags.writeable = False
 
-        self.group_counts = {
-            p: int((self.pattern == p.value).sum()) for p in ObservedPattern
-        }
-        self.missing_by_arm = {
-            arm: int(self.y_missing[self.z == arm].sum()) for arm in (0, 1)
-        }
-        self.missing_by_pattern = {
-            p: int(self.y_missing[self.pattern == p.value].sum())
-            for p in ObservedPattern
-        }
-
     @property
     def n(self) -> int:
         return len(self.records)

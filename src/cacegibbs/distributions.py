@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import DegenerateTruncationError, SingularPosteriorError
+from .errors import SingularPosteriorError
 
 # Beyond this standardized bound the body inverse-CDF loses accuracy and a
 # tail rejection sampler takes over.
@@ -87,31 +87,6 @@ def _std_trunc_above(a, rng):
     # enforce the strict inequality even when u rounded to 0
     np.maximum(out, np.nextafter(a, np.inf), out=out)
     return out
-
-
-def sample_truncated_normal(mean, sd, bound, side, rng):
-    """Draw a single N(mean, sd^2) value strictly beyond ``bound``.
-
-    ``side`` is ``"above"`` (value > bound) or ``"below"`` (value < bound).
-    Raises DegenerateTruncationError when the region's probability
-    underflows (standardized bound beyond 37).
-    """
-    if side not in ("above", "below"):
-        raise ValueError(f"side must be 'above' or 'below', got {side!r}")
-    if not sd > 0:
-        raise ValueError("sd must be positive")
-    a = (bound - mean) / sd
-    if side == "below":
-        a = -a
-    if a > _DEGENERATE_CUTOFF:
-        raise DegenerateTruncationError(
-            f"truncation region beyond {a:.1f} standard deviations has zero "
-            "numerical probability"
-        )
-    z = _std_trunc_above(np.array([a]), rng)[0]
-    if side == "below":
-        z = -z
-    return mean + sd * z
 
 
 def truncated_normal_draws(means, bound, above_mask, rng):

@@ -54,11 +54,9 @@ _ADAPT_EVERY = 50
 class PriorConfig:
     """All prior hyperparameters, with the conventional defaults.
 
-    ``precision_rate`` is read under ``gamma_convention``: with
-    ``"shape-rate"`` (default) the prior precision mean is shape/rate = 1;
-    with ``"shape-scale"`` the value is a scale, i.e. rate = 1/value, giving
-    prior mean shape*value = 1e-4.  ``outcome_center`` of None means "use
-    the overall mean of the observed outcomes", frozen when a fit starts.
+    The outcome precision has a gamma(``precision_shape``, ``precision_rate``)
+    prior, mean shape/rate = 1.  ``outcome_center`` of None means "use the
+    overall mean of the observed outcomes", frozen when a fit starts.
     """
 
     beta_variance: float = 5.0
@@ -68,18 +66,7 @@ class PriorConfig:
     outcome_center: float | None = None
     precision_shape: float = 0.01
     precision_rate: float = 0.01
-    gamma_convention: str = "shape-rate"
     dirichlet_concentration: tuple[float, float, float] = (1.0, 1.0, 1.0)
-
-    def effective_precision_rate(self) -> float:
-        if self.gamma_convention == "shape-rate":
-            return self.precision_rate
-        if self.gamma_convention == "shape-scale":
-            return 1.0 / self.precision_rate
-        raise ValidationError(
-            f"gamma_convention must be 'shape-rate' or 'shape-scale', "
-            f"got {self.gamma_convention!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -92,7 +79,6 @@ class ModelConfig:
     thin: int = 10
     n_chains: int = 3
     seed: int = 0
-    marginal_missing_y: bool = False
     priors: PriorConfig = field(default_factory=PriorConfig)
 
     def __post_init__(self):
@@ -103,7 +89,6 @@ class ModelConfig:
             raise ValidationError("thin must be at least 1")
         if self.n_chains < 1:
             raise ValidationError("n_chains must be at least 1")
-        self.priors.effective_precision_rate()
 
     @property
     def n_saved_per_chain(self) -> int:
@@ -153,8 +138,6 @@ class StratumState:
     labels: np.ndarray  # stratum codes, known patients fixed
     y_fill: np.ndarray  # observed outcome, or current imputation
     y_cf: np.ndarray  # complier counterfactual outcome, NaN elsewhere
-    u_never: np.ndarray | None = None
-    u_split: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -210,9 +193,6 @@ class ModelFit:
     def pooled_cace(self) -> np.ndarray:
         return np.concatenate([c.cace for c in self.chains])
 
-    def pooled_n_compliers(self) -> np.ndarray:
-        return np.concatenate([c.n_compliers for c in self.chains])
-
 
 def covariate_center(dataset: Dataset) -> float:
     """Covariate origin of the internal model design, frozen per fit.
@@ -243,7 +223,7 @@ def resolve_outcome_priors(dataset: Dataset, priors: PriorConfig) -> OutcomePrio
         intercept_variance=priors.intercept_variance,
         slope_variance=priors.slope_variance,
         precision_shape=priors.precision_shape,
-        precision_rate=priors.effective_precision_rate(),
+        precision_rate=priors.precision_rate,
     )
 
 
@@ -307,26 +287,20 @@ class _ChainContext:
         if self.sigma2_init <= 0:
             raise ValidationError("observed outcomes are constant")
         self.missing_idx = np.nonzero(self.y_missing)[0]
-        self.ctrl_mix_missing = self.y_missing[self.ctrl_mix]
-        self.trt_mix_missing = self.y_missing[self.trt_mix]
 
 
 def _sample_memberships(ctx: _ChainContext, state, params: ParameterState, rng):
-    """Redraw the latent stratum of every mixture patient."""
-    marginal = ctx.config.marginal_missing_y
-    for idx, alt_label, arm, miss_mask in (
-        (ctx.ctrl_mix, NEVER_TAKER, 0, ctx.ctrl_mix_missing),
-        (ctx.trt_mix, ALWAYS_TAKER, 1, ctx.trt_mix_missing),
+    """Redraw the latent stratum of every mixture patient.
+
+    A patient with a missing outcome is drawn given its current imputation.
+    """
+    for idx, alt_label, arm in (
+        (ctx.ctrl_mix, NEVER_TAKER, 0),
+        (ctx.trt_mix, ALWAYS_TAKER, 1),
     ):
         if idx.size == 0:
             continue
-        x = ctx.x[idx]
-        y = state.y_fill[idx]
-        p = complier_probability(x, y, arm, params)
-        if marginal and miss_mask.any():
-            p_marg = complier_probability(x[miss_mask], None, arm, params)
-            p = p.copy()
-            p[miss_mask] = p_marg
+        p = complier_probability(ctx.x[idx], state.y_fill[idx], arm, params)
         draws = rng.uniform(size=idx.size)
         state.labels[idx] = np.where(draws < p, COMPLIER, alt_label)
 
@@ -386,12 +360,12 @@ def gibbs_iteration(
     family = ctx.spec.family
     try:
         if family == "probit":
-            state.u_never, state.u_split = sample_latent_utilities(
+            u_never, u_split = sample_latent_utilities(
                 state.labels, ctx.x, params.stratum, rng
             )
             stratum = update_probit_beta(
-                state.u_never,
-                state.u_split,
+                u_never,
+                u_split,
                 ctx.x,
                 ctx.config.priors.beta_variance,
                 rng,

@@ -5,7 +5,11 @@ class CacegibbsError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ParseError(CacegibbsError):
+class InputError(CacegibbsError):
+    """Input from outside the program is unusable (command-line exit code 2)."""
+
+
+class ParseError(InputError):
     """A dataset or config file could not be parsed.
 
     Carries the offending 1-based data row index when known.
@@ -18,16 +22,12 @@ class ParseError(CacegibbsError):
         self.row = row
 
 
-class ValidationError(CacegibbsError):
+class ValidationError(InputError):
     """Parsed input violates a structural requirement."""
 
 
-class EmptyArmError(CacegibbsError):
+class EmptyArmError(InputError):
     """A dataset lacks records in one or both randomization arms."""
-
-
-class DegenerateTruncationError(CacegibbsError):
-    """The requested truncation region has numerically zero probability."""
 
 
 class SingularPosteriorError(CacegibbsError):
@@ -46,11 +46,11 @@ class ChainAbortError(CacegibbsError):
         self.block = block
 
 
-class InsufficientDrawsError(CacegibbsError):
+class InsufficientDrawsError(InputError):
     """Too few chains or too few draws for a convergence diagnostic."""
 
 
-class EmptyPatternError(CacegibbsError):
+class EmptyPatternError(InputError):
     """A diagnostic was requested for an observed pattern with no records."""
 
 
@@ -58,11 +58,11 @@ class AllUndefinedError(CacegibbsError):
     """Every saved draw of the requested quantity is undefined."""
 
 
-class CalibrationError(CacegibbsError):
+class CalibrationError(InputError):
     """A simulation design target cannot be met by any parameter value."""
 
 
-class TooLargeError(CacegibbsError):
+class TooLargeError(InputError):
     """The problem exceeds the size limit of an exact enumeration routine."""
 
 

@@ -25,8 +25,6 @@ GROUP_ALWAYS = 1
 GROUP_COMPLIER_CTRL = 2
 GROUP_COMPLIER_TRT = 3
 
-GROUP_NAMES = ("n", "a", "c0", "c1")
-
 
 def outcome_group(label: int, z: int) -> int:
     """Map a stratum label and assignment to the outcome group index."""
@@ -55,7 +53,8 @@ def outcome_groups(labels, z):
 class OutcomeParams:
     """Intercept/slope per group plus the shared noise variance.
 
-    ``alpha`` has one (intercept, slope) row per group in GROUP_NAMES order.
+    ``alpha`` has one (intercept, slope) row per group in the order
+    (n, a, c0, c1).
     Like the stratum coefficients, ``alpha`` and ``sigma2`` may carry
     trailing draw axes, (4, 2, D, 1) and (D, 1), to evaluate D draws at once.
     """

@@ -1,8 +1,9 @@
 """File formats for runs: saved-draw tables, summaries, manifests, digests.
 
-Numeric CSV fields are rendered with 17 significant digits so a rerun with
-the same inputs reproduces the files byte for byte; undefined values render
-as empty fields.
+Every table a command writes goes through ``write_csv``: numeric fields are
+rendered with 17 significant digits so a rerun with the same inputs
+reproduces the files byte for byte, undefined values render as empty
+fields, and every line ends in ``\n``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import PSRF_THRESHOLD, psrf_report, summarize_fit
+from .diagnostics import PSRF_THRESHOLD, PosteriorSummary, psrf_report, summarize_fit
 from .engine import (
     Chain,
     ModelConfig,
@@ -54,42 +55,43 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
+def _field(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return fmt(value)
+
+
+def write_csv(path, header, rows) -> str:
+    """Write one table and return its digest.
+
+    Strings are written as they are, integers as integers, and every other
+    value through ``fmt``.
+    """
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_field(v) for v in row] for row in rows)
+    return file_digest(path)
+
+
 # ---------------------------------------------------------------------------
-# model config round trip
-
-
-def config_to_dict(config: ModelConfig) -> dict:
-    d = dataclasses.asdict(config)
-    d["priors"]["dirichlet_concentration"] = list(
-        d["priors"]["dirichlet_concentration"]
-    )
-    return d
+# config readers (``dataclasses.asdict`` writes them)
 
 
 def config_from_dict(data: dict) -> ModelConfig:
-    data = dict(data)
-    priors_data = dict(data.pop("priors", {}))
-    if "dirichlet_concentration" in priors_data:
-        priors_data["dirichlet_concentration"] = tuple(
-            priors_data["dirichlet_concentration"]
-        )
     try:
+        data = dict(data)
+        priors_data = dict(data.pop("priors", {}))
+        if "dirichlet_concentration" in priors_data:
+            priors_data["dirichlet_concentration"] = tuple(
+                priors_data["dirichlet_concentration"]
+            )
         priors = PriorConfig(**priors_data)
         return ModelConfig(priors=priors, **data)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad model config: {exc}")
-
-
-def mc_config_to_dict(mc: McConfig) -> dict:
-    d = dataclasses.asdict(mc)
-    d["corr_grid"] = list(d["corr_grid"])
-    d["variants"] = list(d["variants"])
-    d["fit"]["priors"]["dirichlet_concentration"] = list(
-        d["fit"]["priors"]["dirichlet_concentration"]
-    )
-    if d["dgp"]["stratum_base"] is not None:
-        d["dgp"]["stratum_base"] = list(d["dgp"]["stratum_base"])
-    return d
 
 
 def mc_config_from_dict(data: dict) -> McConfig:
@@ -106,7 +108,7 @@ def mc_config_from_dict(data: dict) -> McConfig:
         if "variants" in data:
             data["variants"] = tuple(data["variants"])
         return McConfig(dgp=dgp, fit=fit, **data)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad simulation config: {exc}")
 
 
@@ -125,20 +127,17 @@ def load_json_config(path) -> dict:
 # draws table
 
 
-def write_draws_csv(fit: ModelFit, path) -> None:
+def write_draws_csv(fit: ModelFit, path) -> str:
     """One row per saved draw: chain, iteration, parameters, effect, count."""
-    names = fit.param_names
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["chain", "iteration", *names, "cace", "n_c"])
-        for chain in fit.chains:
-            iterations = chain.saved_iterations
-            for i in range(chain.n_saved):
-                row = [str(chain.chain_index), str(int(iterations[i]))]
-                row.extend(fmt(v) for v in chain.params[i])
-                row.append(fmt(chain.cace[i]))
-                row.append(str(int(chain.n_compliers[i])))
-                writer.writerow(row)
+    rows = (
+        (chain.chain_index, iteration, *params, cace, n_c)
+        for chain in fit.chains
+        for iteration, params, cace, n_c in zip(
+            chain.saved_iterations, chain.params, chain.cace, chain.n_compliers
+        )
+    )
+    header = ["chain", "iteration", *fit.param_names, "cace", "n_c"]
+    return write_csv(path, header, rows)
 
 
 def read_draws_csv(path, config: ModelConfig) -> ModelFit:
@@ -213,30 +212,22 @@ def read_draws_csv(path, config: ModelConfig) -> ModelFit:
 
 def summary_payload(fit: ModelFit) -> dict:
     summaries = summarize_fit(fit)
-    parameters = {}
-    for name, s in summaries.items():
-        entry = {
+    if "cace" not in summaries:
+        # every draw had zero compliers; record that instead of a summary
+        n_undef = int(sum(c.n_undefined_cace for c in fit.chains))
+        summaries["cace"] = PosteriorSummary(None, None, None, None, 0, n_undef)
+    parameters = {
+        name: {
             "mean": s.mean,
             "sd": s.sd,
             "q2.5": s.q2_5,
             "q97.5": s.q97_5,
             "n_draws": s.n_draws,
         }
-        if name == "cace":
-            entry["n_undefined"] = s.n_undefined
-        parameters[name] = entry
-    if "cace" not in parameters:
-        # every draw had zero compliers; record that instead of a summary
-        n_undef = int(sum(c.n_undefined_cace for c in fit.chains))
-        parameters["cace"] = {
-            "mean": None,
-            "sd": None,
-            "q2.5": None,
-            "q97.5": None,
-            "n_draws": 0,
-            "n_undefined": n_undef,
-        }
+        for name, s in summaries.items()
+    }
     cace_entry = parameters.pop("cace")
+    cace_entry["n_undefined"] = summaries["cace"].n_undefined
     payload = {
         "variant": fit.config.variant,
         "n_chains": len(fit.chains),
@@ -262,10 +253,12 @@ def summary_payload(fit: ModelFit) -> dict:
     return payload
 
 
-def write_json(path, payload) -> None:
+def write_json(path, payload) -> str:
+    """Write ``payload`` as sorted, indented JSON and return its digest."""
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
+    return file_digest(path)
 
 
 def make_manifest(command: str, dataset_path, config_dict, seeds, outputs, extra=None):
@@ -299,9 +292,12 @@ def read_manifest(directory) -> dict:
         raise ValidationError(f"no {MANIFEST_NAME} in {directory}")
     with open(path, "r") as handle:
         try:
-            return json.load(handle)
+            manifest = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"manifest is not valid JSON: {exc}")
+    if not isinstance(manifest, dict):
+        raise ValidationError("manifest root must be a JSON object")
+    return manifest
 
 
 def check_digest(path, recorded: str, what: str) -> None:
@@ -316,68 +312,51 @@ def check_digest(path, recorded: str, what: str) -> None:
 # simulation results
 
 
-def write_mc_results_csv(result: McResult, path) -> None:
+def write_mc_results_csv(result: McResult, path) -> str:
     """Cell-level table: replicate-averaged interval and exclusion rate."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "corr_xy",
-                "variant",
-                "mean_cace",
-                "lo",
-                "hi",
-                "frac_excluding_zero",
-                "reps",
-                "failed",
-            ]
-        )
-        for cell in result.cells:
-            writer.writerow(
-                [
-                    fmt(cell.corr_xy),
-                    cell.variant,
-                    fmt(cell.mean_cace),
-                    fmt(cell.lo),
-                    fmt(cell.hi),
-                    fmt(cell.frac_excluding_zero),
-                    str(cell.reps_done),
-                    str(cell.n_failed),
-                ]
-            )
+    header = [
+        "corr_xy",
+        "variant",
+        "mean_cace",
+        "lo",
+        "hi",
+        "frac_excluding_zero",
+        "reps",
+        "failed",
+    ]
+    rows = (
+        [
+            cell.corr_xy,
+            cell.variant,
+            cell.mean_cace,
+            cell.lo,
+            cell.hi,
+            cell.frac_excluding_zero,
+            cell.reps_done,
+            cell.n_failed,
+        ]
+        for cell in result.cells
+    )
+    return write_csv(path, header, rows)
 
 
-def write_mc_replicates_csv(result: McResult, path) -> None:
-    """Replicate-level table behind the cell averages."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "corr_xy",
-                "variant",
-                "rep",
-                "dataset_seed",
-                "fit_seed",
-                "post_mean",
-                "q2.5",
-                "q97.5",
-                "n_undefined",
-                "realized_cace",
-            ]
-        )
-        for cell in result.cells:
-            for r in cell.replicates:
-                writer.writerow(
-                    [
-                        fmt(cell.corr_xy),
-                        cell.variant,
-                        str(r.rep),
-                        str(r.dataset_seed),
-                        str(r.fit_seed),
-                        fmt(r.post_mean),
-                        fmt(r.q2_5),
-                        fmt(r.q97_5),
-                        str(r.n_undefined),
-                        fmt(r.realized_cace),
-                    ]
-                )
+def write_mc_replicates_csv(result: McResult, path) -> str:
+    """Replicate-level table: each cell's ``ReplicateResult`` fields in order."""
+    header = [
+        "corr_xy",
+        "variant",
+        "rep",
+        "dataset_seed",
+        "fit_seed",
+        "post_mean",
+        "q2.5",
+        "q97.5",
+        "n_undefined",
+        "realized_cace",
+    ]
+    rows = (
+        [cell.corr_xy, cell.variant, *dataclasses.astuple(r)]
+        for cell in result.cells
+        for r in cell.replicates
+    )
+    return write_csv(path, header, rows)

@@ -363,19 +363,21 @@ def brute_force_posterior(
     The stratum proportions and the group means integrate in closed form
     (Dirichlet-multinomial and normal-normal conjugacy); the shared noise
     variance is integrated on a fixed log-spaced grid of ``grid_size`` points
-    spanning ``grid_span`` times the observed outcome variance.
+    spanning ``grid_span`` times the observed outcome variance.  A missing
+    outcome drops its likelihood factor; a complier with a missing outcome
+    contributes the difference of the two complier group means to the effect.
     """
     if dataset.n > _BRUTE_FORCE_LIMIT:
         raise TooLargeError(
             f"exact enumeration is limited to {_BRUTE_FORCE_LIMIT} records"
         )
-    if dataset.y_missing.any():
-        raise ValidationError("exact posterior requires complete outcomes")
 
     conc = np.asarray(dirichlet_concentration, dtype=float)
     y = dataset.y
     z = dataset.z.astype(int)
-    var_y = max(float(y.var(ddof=1)), 1e-8) if dataset.n > 1 else 1.0
+    observed = ~dataset.y_missing
+    y_obs = y[observed]
+    var_y = max(float(y_obs.var(ddof=1)), 1e-8) if y_obs.size > 1 else 1.0
 
     # sigma^2 grid on a log scale, trapezoid weights, jacobian folded in
     u = np.linspace(
@@ -436,7 +438,7 @@ def brute_force_posterior(
         log_marg = np.zeros(grid_size)
         post_mean = {}  # group -> posterior mean of its intercept per grid point
         for g in range(4):
-            sel = groups == g
+            sel = (groups == g) & observed
             n_g = int(sel.sum())
             if n_g == 0:
                 post_mean[g] = np.full(grid_size, m0)
@@ -456,14 +458,13 @@ def brute_force_posterior(
         compl = labels == COMPLIER
         if compl.any():
             grid_post = np.exp(log_joint - logsumexp(log_joint))
-            zc = z[compl]
-            yc = y[compl]
-            # complier's missing arm enters through its group posterior mean
-            effs = np.where(
-                (zc == 1)[:, None],
-                yc[:, None] - post_mean[GROUP_COMPLIER_CTRL][None, :],
-                post_mean[GROUP_COMPLIER_TRT][None, :] - yc[:, None],
-            )
+            # a complier's unobserved outcomes enter through their group
+            # posterior means: the other arm's always, its own when missing
+            mu0 = post_mean[GROUP_COMPLIER_CTRL][None, :]
+            mu1 = post_mean[GROUP_COMPLIER_TRT][None, :]
+            yc = y[compl][:, None]
+            effs = np.where(z[compl][:, None] == 1, yc - mu0, mu1 - yc)
+            effs = np.where(np.isnan(yc), mu1 - mu0, effs)
             cace_contrib[cfg_idx] = float((effs.mean(axis=0) * grid_post).sum())
         else:
             cace_contrib[cfg_idx] = math.nan

@@ -27,8 +27,6 @@ COMPLIER = 0
 NEVER_TAKER = 1
 ALWAYS_TAKER = 2
 
-STRATUM_NAMES = ("complier", "never_taker", "always_taker")
-
 
 @dataclass(frozen=True)
 class ProbitStratumParams:

@@ -30,7 +30,7 @@ MLOGIT_PARAM_NAMES = (
     "always_logit_slope",
 )
 PROPORTION_PARAM_NAMES = ("prop_complier", "prop_never", "prop_always")
-# (intercept, slope) per outcome group in GROUP_NAMES order, then the variance
+# (intercept, slope) per outcome group in the order (n, a, c0, c1), then the variance
 OUTCOME_PARAM_NAMES = (
     "y_n_intercept",
     "y_n_slope",

@@ -87,15 +87,13 @@ def test_fit_flag_overrides_config(dataset_csv, config_json, tmp_path):
     out = tmp_path / "fit"
     code = _fit(
         dataset_csv, config_json, out,
-        extra=("--seed", "99", "--variant", "B", "--chains", "3",
-               "--marginal-missing-y"),
+        extra=("--seed", "99", "--variant", "B", "--chains", "3"),
     )
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 99
     assert manifest["config"]["variant"] == "B"
     assert manifest["config"]["n_chains"] == 3
-    assert manifest["config"]["marginal_missing_y"] is True
 
 
 def test_fit_missing_dataset_is_input_error(config_json, tmp_path, capsys):
@@ -228,6 +226,98 @@ def test_diagnose_requires_fit_manifest(dataset_csv, tmp_path, capsys):
     )
     assert code == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (("--bins", "-2"), "--bins"),
+        (("--grid-points", "-1"), "--grid-points"),
+        (("--bins", "0", "--grid-points", "0"), "must be at least 1"),
+    ],
+)
+def test_diagnose_rejects_nonpositive_sizes(
+    dataset_csv, config_json, tmp_path, capsys, flags, named
+):
+    fit_out = tmp_path / "fit"
+    assert _fit(dataset_csv, config_json, fit_out) == 0
+    capsys.readouterr()
+    code = main(
+        ["diagnose", "--dataset", str(dataset_csv), "--draws", str(fit_out),
+         "--out", str(tmp_path / "diag"), *flags]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValidationError"
+    assert named in err["message"]
+    assert not (tmp_path / "diag").exists()
+
+
+_FIT_MANIFEST = {
+    "command": "fit",
+    "config": FIT_CONFIG,
+    "dataset": {"path": "trial.csv", "sha256": "0" * 64},
+    "outputs": {"draws.csv": "0" * 64},
+}
+
+
+@pytest.mark.parametrize(
+    "manifest, named",
+    [
+        ([_FIT_MANIFEST], "JSON object"),
+        ({k: v for k, v in _FIT_MANIFEST.items() if k != "config"}, "config"),
+        ({**_FIT_MANIFEST, "config": [1, 2]}, "bad model config"),
+        ({**_FIT_MANIFEST, "dataset": {"path": "trial.csv"}}, "sha256"),
+        ({k: v for k, v in _FIT_MANIFEST.items() if k != "outputs"}, "outputs"),
+        ({**_FIT_MANIFEST, "outputs": {"summary.json": "0" * 64}}, "draws.csv"),
+    ],
+)
+def test_diagnose_rejects_malformed_manifest(
+    dataset_csv, tmp_path, capsys, manifest, named
+):
+    fit_out = tmp_path / "fit"
+    fit_out.mkdir()
+    (fit_out / "manifest.json").write_text(json.dumps(manifest))
+    code = main(
+        ["diagnose", "--dataset", str(dataset_csv), "--draws", str(fit_out),
+         "--out", str(tmp_path / "diag")]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValidationError"
+    assert named in err["message"]
+
+
+def test_every_written_table_ends_lines_in_newline_only(
+    dataset_csv, config_json, tmp_path
+):
+    fit_out, diag_out, sim_out = tmp_path / "fit", tmp_path / "diag", tmp_path / "sim"
+    assert _fit(dataset_csv, config_json, fit_out) == 0
+    assert main(
+        ["diagnose", "--dataset", str(dataset_csv), "--draws", str(fit_out),
+         "--out", str(diag_out)]
+    ) == 0
+    cfg = tmp_path / "mc.json"
+    cfg.write_text(json.dumps({
+        "reps": 1, "corr_grid": [0.0], "variants": ["D"], "dgp": {"n": 40},
+        "fit": {"variant": "D", "burn_in": 50, "kept": 50, "thin": 5, "n_chains": 2},
+    }))
+    assert main(["simulate", "--config", str(cfg), "--out", str(sim_out)]) == 0
+    tables = [p for d in (fit_out, diag_out, sim_out) for p in sorted(d.glob("*.csv"))]
+    assert [p.name for p in tables] == [
+        "draws.csv",
+        "complier_grid_z0.csv",
+        "complier_grid_z1.csv",
+        "psrf.csv",
+        "shaded_hist_z0.csv",
+        "shaded_hist_z1.csv",
+        "mc_replicates.csv",
+        "mc_results.csv",
+    ]
+    for path in tables:
+        text = path.read_bytes()
+        assert b"\r" not in text, path.name
+        assert text.endswith(b"\n"), path.name
 
 
 def test_simulate_tiny_grid(tmp_path):

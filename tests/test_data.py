@@ -45,10 +45,12 @@ def test_dataset_columns_and_counts():
     assert np.array_equal(ds.z, [0, 0, 1, 1, 1])
     assert np.array_equal(ds.d_obs, [0, 1, 0, 1, 1])
     assert np.array_equal(ds.y_missing, [False, True, False, False, True])
-    assert ds.group_counts[ObservedPattern.MIXTURE_TREATED_ARM] == 2
-    assert ds.group_counts[ObservedPattern.KNOWN_ALWAYS_TAKER] == 1
-    assert ds.missing_by_arm == {0: 1, 1: 1}
-    assert ds.missing_by_pattern[ObservedPattern.MIXTURE_TREATED_ARM] == 1
+    summary = summarize_dataset(ds)
+    assert summary[ObservedPattern.MIXTURE_TREATED_ARM].n == 2
+    assert summary[ObservedPattern.KNOWN_ALWAYS_TAKER].n == 1
+    assert summary[ObservedPattern.MIXTURE_TREATED_ARM].n_missing_y == 1
+    assert summary[ObservedPattern.KNOWN_ALWAYS_TAKER].n_missing_y == 1
+    assert sum(s.n_missing_y for s in summary.values()) == 2
     with pytest.raises(ValueError):
         ds.z[0] = 9  # columns are read-only
 

@@ -1,7 +1,5 @@
 """Sampler orchestration checks: configs, membership draws, chains, pooling."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -63,16 +61,6 @@ def test_default_param_names_by_variant():
     d = default_param_names("D")
     assert d[:3] == ("prop_complier", "prop_never", "prop_always")
     assert len(d) == 12
-
-
-def test_gamma_convention_switch():
-    assert PriorConfig().effective_precision_rate() == 0.01
-    scale = PriorConfig(gamma_convention="shape-scale")
-    # value read as a scale: rate = 1/0.01, prior precision mean = 1e-4
-    assert scale.effective_precision_rate() == pytest.approx(100.0)
-    assert scale.precision_shape * 0.01 == pytest.approx(1e-4)
-    with pytest.raises(ValidationError):
-        PriorConfig(gamma_convention="rate-shape").effective_precision_rate()
 
 
 def test_model_config_validation():
@@ -265,24 +253,6 @@ def test_pooled_shapes():
     assert pooled["sigma2"].shape == (n_total,)
     assert fit.pooled_cace().shape == (n_total,)
     assert np.all(pooled["y_n_slope"] == 0.0)  # covariate-free outcome model
-
-
-def test_marginal_missing_y_flag_changes_draws():
-    rng = RngStream(seed=52).generator()
-    records = []
-    for i in range(40):
-        y = None if i % 3 == 0 else float(rng.normal(40, 5))
-        records.append(PatientRecord(f"c{i}", 0, 0, y, float(rng.normal(12, 2))))
-    for i in range(40):
-        y = None if i % 3 == 0 else float(rng.normal(44, 5))
-        records.append(PatientRecord(f"t{i}", 1, 1, y, float(rng.normal(13, 2))))
-    records.append(PatientRecord("n0", 1, 0, 41.0, 11.0))
-    records.append(PatientRecord("a0", 0, 1, 43.0, 14.0))
-    ds = Dataset(records)
-    base = ModelConfig(variant="Astar", burn_in=50, kept=50, thin=5, n_chains=1)
-    joint = run_chain(ds, base, 0)
-    marg = run_chain(ds, replace(base, marginal_missing_y=True), 0)
-    assert not np.array_equal(joint.params, marg.params)
 
 
 def test_chain_failure_reported_not_raised():
