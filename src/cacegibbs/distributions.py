@@ -1,11 +1,20 @@
 """Low-level sampling primitives shared by the Gibbs updates.
 
-Everything here draws from a ``numpy.random.Generator`` owned by the caller,
+Everything here draws from ``numpy.random.Generator``s owned by the caller,
 so the same seed always reproduces the same sequence of values.
+
+A sweep advances several chains at once, each with its own generator.  The
+``rng`` argument is either one generator per chain, with the chain as the
+leading axis of every per-chain array, or a lone generator, which is one
+chain with no chain axis.  Chain k takes its draws from its own generator,
+in the order and in the calls it would make running alone, so its values do
+not depend on which other chains share the batch.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +49,40 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
+def generators(rng) -> list:
+    """The per-chain generators of ``rng``: a lone generator is one chain."""
+    if type(rng) is list:
+        return rng
+    return [rng] if isinstance(rng, np.random.Generator) else list(rng)
+
+
+def ragged_draws(rng, method, counts, *args):
+    """Draws of ``Generator.<method>``, ``counts[k]`` of them from chain k.
+
+    ``method`` is one that fills an ``out`` array: ``random`` (the uniform
+    draws of ``Generator.uniform``), ``standard_normal``,
+    ``standard_exponential`` or ``standard_gamma``.  Each chain fills its
+    values in one call, and the values are concatenated in chain order; a
+    chain with no values draws nothing.
+    """
+    out = np.empty(sum(counts))
+    start = 0
+    for gen, c in zip(generators(rng), counts):
+        if c:
+            getattr(gen, method)(*args, out=out[start : start + c])
+            start += c
+    return out
+
+
+def chain_draws(rng, method, shape, *args):
+    """Draws of ``Generator.<method>`` filling ``shape``, its leading axis the chains.
+
+    Chain k fills its row in one call; a lone generator fills all of ``shape``.
+    """
+    k = len(generators(rng))
+    return ragged_draws(rng, method, [math.prod(shape) // k] * k, *args).reshape(shape)
+
+
 def derive_seed(master_seed: int, *key: int) -> int:
     """Derive a child seed from a master seed and an index path.
 
@@ -51,34 +94,56 @@ def derive_seed(master_seed: int, *key: int) -> int:
     return int(words[0] ^ (words[1] << 1)) & (2**63 - 1)
 
 
-def _std_trunc_above(a, rng):
+def _chain_counts(mask, sizes):
+    """How many entries of the flat ``mask`` each chain holds, chain k
+    owning the next ``sizes[k]`` entries."""
+    ends = np.cumsum(sizes)
+    hits = np.concatenate([[0], np.cumsum(mask)])
+    return hits[ends] - hits[ends - sizes]
+
+
+def _std_trunc_above(a, rng, sizes):
     """Draw standard normals conditioned on being strictly greater than ``a``.
 
-    Vectorized over ``a``.  Uses the inverse CDF through the survival
-    function in the body and an exponential-proposal rejection sampler when
-    the region is a far upper tail (a > 5).  Entries with a > 37 are the
-    caller's problem; values there are meaningless.
+    Vectorized over the flat ``a``, whose first ``sizes[0]`` entries belong
+    to chain 0, the next ``sizes[1]`` to chain 1, and so on.  Uses the
+    inverse CDF through the survival function in the body and an
+    exponential-proposal rejection sampler when the region is a far upper
+    tail (a > 5); each chain runs its own rejection rounds until all of its
+    entries are accepted.  Entries with a > 37 are the caller's problem;
+    values there are meaningless.
     """
-    a = np.asarray(a, dtype=float)
-    out = np.empty_like(a)
-
+    k = len(sizes)
     body = a <= _TAIL_CUTOFF
-    if body.any():
-        ab = a[body]
-        u = rng.uniform(size=ab.shape)
+    whole = body.all()
+    out = None if whole else np.empty_like(a)
+    if whole or body.any():
+        ab = a if whole else a[body]
+        u = ragged_draws(rng, "random", sizes if whole else _chain_counts(body, sizes))
         # P(X > x) = (1 - u) * P(X > a)  =>  x = -ndtri((1-u) * ndtr(-a))
-        out[body] = -ndtri((1.0 - u) * ndtr(-ab))
+        p_above = ndtr(np.negative(ab))
+        np.subtract(1.0, u, out=u)
+        u *= p_above
+        ndtri(u, out=u)
+        np.negative(u, out=u)
+        if whole:
+            out = u
+        else:
+            out[body] = u
 
-    tail = ~body
-    if tail.any():
+    if not whole:
+        tail = ~body
         at = a[tail]
+        chain_t = np.repeat(np.arange(k), sizes)[tail]
         lam = 0.5 * (at + np.sqrt(at * at + 4.0))
         draws = np.empty_like(at)
         pending = np.ones(at.shape, dtype=bool)
         while pending.any():
             idx = np.nonzero(pending)[0]
-            x = at[idx] + rng.exponential(size=idx.shape) / lam[idx]
-            accept = rng.uniform(size=idx.shape) <= np.exp(-0.5 * (x - lam[idx]) ** 2)
+            counts = np.bincount(chain_t[idx], minlength=k)
+            x = at[idx] + ragged_draws(rng, "standard_exponential", counts) / lam[idx]
+            u = ragged_draws(rng, "random", counts)
+            accept = u <= np.exp(-0.5 * (x - lam[idx]) ** 2)
             hit = idx[accept]
             draws[hit] = x[accept]
             pending[hit] = False
@@ -89,27 +154,35 @@ def _std_trunc_above(a, rng):
     return out
 
 
-def truncated_normal_draws(means, bound, above_mask, rng):
-    """Vector of unit-variance truncated normal draws for the latent utilities.
+def truncated_normal_draws(means, bound, above_mask, rng, sizes=None):
+    """Unit-variance truncated normal draws for the latent utilities.
 
     Each entry i is N(means[i], 1) conditioned on being strictly above
     ``bound`` where ``above_mask[i]`` and strictly below it otherwise.
     Entries whose truncation region has underflowed are clamped to
     bound +/- 1e-8 on the correct side (treated as a numerically pinned
-    draw).
+    draw).  ``sizes`` gives the entries of each chain in a flat ``means``,
+    in chain order; without it the leading axis of ``means`` is the chain
+    axis.
     """
     means = np.asarray(means, dtype=float)
+    if sizes is None:
+        k = len(generators(rng))
+        sizes = np.full(k, means.size // k)
     # flip 'below' entries into 'above' form
     sign = np.where(above_mask, 1.0, -1.0)
-    a = (bound - means) * sign
+    a = np.subtract(bound, means)
+    a *= sign
     degenerate = a > _DEGENERATE_CUTOFF
-    if degenerate.any():
-        a = np.where(degenerate, 0.0, a)
-    z = _std_trunc_above(a, rng)
-    out = means + sign * z
-    if degenerate.any():
-        out[degenerate] = bound + sign[degenerate] * 1e-8
-    return out
+    clamped = degenerate.any()
+    if clamped:
+        a[degenerate] = 0.0
+    z = _std_trunc_above(a.reshape(-1), rng, sizes).reshape(a.shape)
+    z *= sign
+    z += means
+    if clamped:
+        z[degenerate] = bound + sign[degenerate] * 1e-8
+    return z
 
 
 @dataclass(frozen=True)
@@ -128,6 +201,12 @@ class NormalLinearPrior:
             raise ValueError("prior mean and variance must have the same shape")
         if not np.all(self.variance > 0):
             raise ValueError("prior variances must be positive")
+
+    @staticmethod
+    @functools.lru_cache(maxsize=64)
+    def of(mean: tuple, variance: tuple) -> NormalLinearPrior:
+        """The prior with these (hashable) means and variances, built once."""
+        return NormalLinearPrior(np.array(mean), np.array(variance))
 
 
 def conjugate_linear_posterior(y, design, noise_variance, prior):
@@ -174,59 +253,80 @@ def sample_conjugate_linear(y, design, noise_variance, prior, rng):
 def sample_conjugate_sums_2(
     n, sx, sxx, sy, sxy, noise_variance, prior, rng
 ):
-    """Fast (intercept, slope) draw from sufficient statistics.
+    """Fast (intercept, slope) draws from sufficient statistics.
 
     Equivalent to ``sample_conjugate_linear`` with design columns (1, x),
     using n = count, sx = sum(x), sxx = sum(x^2), sy = sum(y), sxy = sum(x*y).
+    The statistics may be arrays of one shape, the chains leading, with one
+    regression per entry; the draws have that shape plus a trailing
+    (intercept, slope) axis, and each chain draws two normals per regression
+    in one call.  A regression with n = 0 draws from the prior.  Raises
+    ``SingularPosteriorError`` naming the first chain with an ill-conditioned
+    posterior before any chain draws.
     """
     pm = prior.mean
     pv = prior.variance
-    if n == 0:
-        z = rng.standard_normal(2)
-        return pm + np.sqrt(pv) * z
     p11 = n / noise_variance + 1.0 / pv[0]
     p12 = sx / noise_variance
     p22 = sxx / noise_variance + 1.0 / pv[1]
     det = p11 * p22 - p12 * p12
     tr = p11 + p22
-    # eigenvalue ratio of the 2x2 precision
-    disc = np.sqrt(max(tr * tr - 4.0 * det, 0.0))
+    # eigenvalues of the 2x2 precision: positive, with a bounded ratio
+    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
     lam_min = 0.5 * (tr - disc)
-    if not det > 0 or lam_min <= 0 or (0.5 * (tr + disc)) / lam_min > _COND_LIMIT:
-        raise SingularPosteriorError("2x2 posterior precision is ill conditioned")
+    ok = (det > 0) & (lam_min > 0) & (0.5 * (tr + disc) <= _COND_LIMIT * lam_min)
+    if not np.all(ok | (n == 0)):
+        shape = np.broadcast_shapes(*map(np.shape, (n, sx, sxx, sy, sxy, noise_variance)))
+        bad = np.broadcast_to(~ok & (n != 0), shape)
+        row = int(np.argmax(bad.reshape(len(generators(rng)), -1).any(axis=1)))
+        raise SingularPosteriorError("2x2 posterior precision is ill conditioned", row)
     r1 = sy / noise_variance + pm[0] / pv[0]
     r2 = sxy / noise_variance + pm[1] / pv[1]
     m1 = (p22 * r1 - p12 * r2) / det
     m2 = (p11 * r2 - p12 * r1) / det
+    z = chain_draws(rng, "standard_normal", (*m1.shape, 2))
     # precision = L L^T; draw = mean + solve(L^T, z)
     l11 = np.sqrt(p11)
     l21 = p12 / l11
     l22 = np.sqrt(p22 - l21 * l21)
-    z1, z2 = rng.standard_normal(2)
-    w2 = z2 / l22
-    w1 = (z1 - l21 * w2) / l11
-    return np.array([m1 + w1, m2 + w2])
+    w2 = z[..., 1] / l22
+    w1 = (z[..., 0] - l21 * w2) / l11
+    draws = np.empty_like(z)
+    draws[..., 0] = m1 + w1
+    draws[..., 1] = m2 + w2
+    if not np.all(n):
+        draws = np.where((n == 0)[..., None], pm + np.sqrt(pv) * z, draws)
+    return draws
 
 
 def sample_precision_gamma(residual_ss, n, shape0, rate0, rng):
     """Draw a noise precision from its conjugate gamma posterior.
 
     Shape-rate convention: posterior is Gamma(shape0 + n/2, rate0 + ss/2)
-    with density proportional to x^(shape-1) exp(-rate x).
+    with density proportional to x^(shape-1) exp(-rate x).  ``residual_ss``
+    may hold one value per chain.
     """
-    if residual_ss < 0:
+    residual_ss = np.asarray(residual_ss, dtype=float)
+    if np.any(residual_ss < 0):
         raise ValueError("residual sum of squares must be nonnegative")
     shape = shape0 + 0.5 * n
     rate = rate0 + 0.5 * residual_ss
-    return rng.gamma(shape, 1.0 / rate)
+    # Generator.gamma(shape, scale) is scale times a standard gamma draw
+    return chain_draws(rng, "standard_gamma", rate.shape, shape) * (1.0 / rate)
 
 
 def sample_dirichlet(counts, concentration, rng):
-    """Draw stratum proportions from Dirichlet(concentration + counts)."""
+    """Draw stratum proportions from Dirichlet(concentration + counts).
+
+    ``counts`` may hold one row per chain.
+    """
     counts = np.asarray(counts, dtype=float)
     concentration = np.asarray(concentration, dtype=float)
-    if counts.shape != concentration.shape:
+    if counts.shape[-1:] != concentration.shape:
         raise ValueError("counts and concentration must have the same shape")
     if np.any(counts < 0) or np.any(concentration <= 0):
         raise ValueError("counts must be >= 0 and concentration > 0")
-    return rng.dirichlet(concentration + counts)
+    alpha = concentration + counts
+    rows = alpha.reshape(-1, alpha.shape[-1])
+    draws = [gen.dirichlet(a) for gen, a in zip(generators(rng), rows)]
+    return np.array(draws).reshape(alpha.shape)

@@ -5,18 +5,21 @@ patterns, imputation of missing observed outcomes, imputation of complier
 counterfactual outcomes, a stratum-parameter update, an outcome-parameter
 update, and the causal-effect computation over currently labeled compliers.
 The model variants are listed in ``variants``.
+
+One sweep advances every chain of a fit: the latent state holds a (K, n)
+row per chain and every parameter a trailing (K, 1) chain axis, while chain
+k takes its random draws from stream k in exactly the order it would alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
 
 from .data import Dataset, ObservedPattern
-from .distributions import RngStream, sample_dirichlet
+from .distributions import RngStream, chain_draws, generators, sample_dirichlet
 from .errors import ChainAbortError, SingularPosteriorError, ValidationError
 from .outcomes import (
     GROUP_ALWAYS,
@@ -38,6 +41,7 @@ from .strata import (
     MlogitStratumParams,
     ProbitStratumParams,
     StratumProportions,
+    coefficients_first,
     log_stratum_probs,
     sample_latent_utilities,
     update_mlogit_gamma,
@@ -97,17 +101,24 @@ class ModelConfig:
 
 @dataclass
 class ParameterState:
-    """Current stratum and outcome parameters of one chain."""
+    """Current stratum and outcome parameters of a batch of chains.
+
+    Every coefficient carries the batch's trailing (K, 1) chain axes; a lone
+    chain's have none.
+    """
 
     stratum: object
     outcome: OutcomeParams
 
     def to_vector(self) -> np.ndarray:
-        """Parameters in saved-draw column order (``default_param_names``)."""
+        """Parameters in saved-draw column order (``default_param_names``),
+        followed by any chain axes."""
         # each stratum type's fields hold its saved columns in order
         head = [getattr(self.stratum, f.name) for f in fields(self.stratum)]
+        alpha = self.outcome.alpha
+        sigma2 = np.asarray(self.outcome.sigma2)
         return np.concatenate(
-            [*head, self.outcome.alpha.ravel(), [self.outcome.sigma2]]
+            [*head, alpha.reshape(8, *alpha.shape[2:]), sigma2[None]]
         )
 
     @classmethod
@@ -130,10 +141,26 @@ class ParameterState:
         alpha = v[k:-1].reshape(4, 2, *v.shape[1:])
         return cls(stratum, OutcomeParams(alpha, v[-1], variant))
 
+    def select(self, rows) -> ParameterState:
+        """The parameters of the chains in ``rows``."""
+        return ParameterState(_select(self.stratum, rows), _select(self.outcome, rows))
+
+
+def _select(params, rows):
+    """A parameter dataclass for the chains in ``rows``: the chain axis of
+    every array field is second to last."""
+    values = {f.name: getattr(params, f.name) for f in fields(params)}
+    return type(params)(
+        **{
+            name: v[..., rows, :] if isinstance(v, np.ndarray) else v
+            for name, v in values.items()
+        }
+    )
+
 
 @dataclass
 class StratumState:
-    """Per-patient latent state of one chain."""
+    """Per-patient latent state, (K, n) for a batch of K chains."""
 
     labels: np.ndarray  # stratum codes, known patients fixed
     y_fill: np.ndarray  # observed outcome, or current imputation
@@ -142,7 +169,13 @@ class StratumState:
 
 @dataclass(frozen=True)
 class Chain:
-    """Saved draws of one chain."""
+    """Saved draws of one chain.
+
+    ``acceptance`` and ``proposal_sd`` are the Metropolis report of a
+    multinomial-logit chain: the post-burn-in acceptance rate of each block
+    (never, always), None for a block never tried, and each block's final
+    (intercept, slope) proposal scales.  Other variants leave them None.
+    """
 
     chain_index: int
     thin: int
@@ -150,6 +183,8 @@ class Chain:
     params: np.ndarray  # (n_saved, n_params)
     cace: np.ndarray  # (n_saved,), NaN where no compliers were labeled
     n_compliers: np.ndarray  # (n_saved,)
+    acceptance: tuple | None = None
+    proposal_sd: tuple | None = None
 
     @property
     def n_saved(self) -> int:
@@ -256,7 +291,7 @@ def complier_probability(x, y, z, state: ParameterState):
 
 
 class _ChainContext:
-    """Immutable per-fit data shared by all iterations of a chain."""
+    """Immutable per-fit data shared by all iterations of every chain."""
 
     def __init__(self, dataset: Dataset, config: ModelConfig):
         self.config = config
@@ -293,120 +328,209 @@ def _sample_memberships(ctx: _ChainContext, state, params: ParameterState, rng):
     """Redraw the latent stratum of every mixture patient.
 
     A patient with a missing outcome is drawn given its current imputation.
+    Each chain draws one uniform per mixture patient, control arm first.
     """
-    for idx, alt_label, arm in (
-        (ctx.ctrl_mix, NEVER_TAKER, 0),
-        (ctx.trt_mix, ALWAYS_TAKER, 1),
+    n_ctrl = ctx.ctrl_mix.size
+    lead = state.labels.shape[:-1]
+    u = chain_draws(rng, "random", (*lead, n_ctrl + ctx.trt_mix.size))
+    for idx, alt_label, arm, draws in (
+        (ctx.ctrl_mix, NEVER_TAKER, 0, u[..., :n_ctrl]),
+        (ctx.trt_mix, ALWAYS_TAKER, 1, u[..., n_ctrl:]),
     ):
         if idx.size == 0:
             continue
-        p = complier_probability(ctx.x[idx], state.y_fill[idx], arm, params)
-        draws = rng.uniform(size=idx.size)
-        state.labels[idx] = np.where(draws < p, COMPLIER, alt_label)
+        p = complier_probability(ctx.x[idx], state.y_fill[..., idx], arm, params)
+        state.labels[..., idx] = np.where(draws < p, COMPLIER, alt_label)
 
 
 def _impute_missing(ctx: _ChainContext, state, params: ParameterState, rng):
     idx = ctx.missing_idx
     if idx.size == 0:
         return
-    groups = outcome_groups(state.labels[idx], ctx.z[idx])
-    state.y_fill[idx] = impute_outcomes(ctx.x[idx], groups, params.outcome, rng)
+    groups = outcome_groups(state.labels[..., idx], ctx.z[idx])
+    k = len(generators(rng))
+    x = np.concatenate([ctx.x[idx]] * k)
+    chain = np.repeat(np.arange(k), idx.size)
+    state.y_fill[..., idx] = impute_outcomes(
+        x, groups.ravel(), params.outcome, rng, chain
+    ).reshape(groups.shape)
 
 
 def _impute_counterfactuals(ctx: _ChainContext, state, params: ParameterState, rng):
     compl = state.labels == COMPLIER
     state.y_cf.fill(np.nan)
-    idx = np.nonzero(compl)[0]
+    chain, idx = np.nonzero(np.atleast_2d(compl))
     if idx.size == 0:
         return
     cf_groups = np.where(
         ctx.z[idx] == 1, GROUP_COMPLIER_CTRL, GROUP_COMPLIER_TRT
     ).astype(np.int8)
-    state.y_cf[idx] = impute_outcomes(ctx.x[idx], cf_groups, params.outcome, rng)
+    state.y_cf[compl] = impute_outcomes(
+        ctx.x[idx], cf_groups, params.outcome, rng, chain
+    )
 
 
-def compute_cace(state: StratumState, z) -> tuple[float, int]:
+def compute_cace(state: StratumState, z):
     """Mean complier treatment-minus-control difference at the current draw.
 
     The mean of y(1) - y(0) over the patients labeled compliers, each with
     its observed (or imputed) outcome in its own arm and its imputed
-    counterfactual in the other.  Returns (value, n_compliers); the value is
-    NaN when no patient is currently labeled a complier.
+    counterfactual in the other.  Returns (value, n_compliers), one entry per
+    chain of a (K, n) state; the value is NaN when no patient is currently
+    labeled a complier.  Each chain sums its own compliers, in patient order.
     """
     compl = state.labels == COMPLIER
-    n_c = int(compl.sum())
-    if n_c == 0:
-        return math.nan, 0
-    z = np.asarray(z)
-    y1 = np.where(z[compl] == 1, state.y_fill[compl], state.y_cf[compl])
-    y0 = np.where(z[compl] == 1, state.y_cf[compl], state.y_fill[compl])
-    return float(np.mean(y1 - y0)), n_c
+    n_c = compl.sum(axis=-1)
+    diff = state.y_fill - state.y_cf  # y(1) - y(0) of a treated complier
+    np.subtract(state.y_cf, state.y_fill, out=diff, where=np.asarray(z) != 1)
+    flat = diff[compl]
+    counts = np.atleast_1d(n_c)
+    ends = np.cumsum(counts)
+    sums = np.array([flat[a:b].sum() for a, b in zip(ends - counts, ends)])
+    cace = np.divide(
+        sums.reshape(n_c.shape), n_c, out=np.full(n_c.shape, np.nan), where=n_c > 0
+    )
+    return cace, n_c
 
 
-def gibbs_iteration(
-    ctx: _ChainContext,
-    state: StratumState,
-    params: ParameterState,
-    rng,
-    proposal: MlogitProposal | None,
-    chain_index: int,
-    iteration: int,
-) -> tuple[ParameterState, float, int]:
-    """One full systematic-scan update.  Mutates ``state`` in place."""
-    _sample_memberships(ctx, state, params, rng)
-    _impute_missing(ctx, state, params, rng)
-    _impute_counterfactuals(ctx, state, params, rng)
+class _Batch:
+    """The chains a sweep advances: their streams, state, parameters and draws.
+
+    Row r of every per-chain array belongs to chain ``chains[r]``.  A chain
+    whose update turns singular leaves the batch with a ``ChainFailure``;
+    the other rows carry on with the draws they would make without it.
+    """
+
+    def __init__(self, ctx: _ChainContext, chain_indices):
+        config = ctx.config
+        self.chains = np.asarray(chain_indices, dtype=int)
+        self.rngs = [
+            RngStream(seed=config.seed, stream_id=int(k)).generator()
+            for k in self.chains
+        ]
+        self.params = _initial_params(ctx, self.chains, self.rngs)
+        self.state = _initial_state(ctx, self.params, self.rngs)
+        self.proposal = (
+            MlogitProposal.default(self.chains.size)
+            if ctx.spec.family == "mlogit"
+            else None
+        )
+        n_saved = config.n_saved_per_chain
+        self.saved_params = np.empty(
+            (self.chains.size, n_saved, len(ctx.spec.param_names))
+        )
+        self.saved_cace = np.empty((self.chains.size, n_saved))
+        self.saved_n_c = np.empty((self.chains.size, n_saved), dtype=np.int32)
+        self.failures: list[ChainFailure] = []
+
+    @property
+    def size(self) -> int:
+        return self.chains.size
+
+    def abort(self, row: int, iteration: int, block: str, message: str):
+        """Drop the chain in ``row`` and record why."""
+        exc = ChainAbortError(message, int(self.chains[row]), iteration, block)
+        self.failures.append(
+            ChainFailure(int(self.chains[row]), type(exc).__name__, str(exc))
+        )
+        keep = np.delete(np.arange(self.size), row)
+        self.chains = self.chains[keep]
+        del self.rngs[row]
+        self.params = self.params.select(keep)
+        state = self.state
+        self.state = StratumState(state.labels[keep], state.y_fill[keep], state.y_cf[keep])
+        if self.proposal is not None:
+            self.proposal = self.proposal.select(keep)
+        self.saved_params = self.saved_params[keep]
+        self.saved_cace = self.saved_cace[keep]
+        self.saved_n_c = self.saved_n_c[keep]
+
+    def guarded(self, iteration: int, block: str, update):
+        """``update(rows)`` for the rows (of the batch as it is now) still alive.
+
+        An update raises ``SingularPosteriorError`` before any chain draws,
+        so the failing chain leaves and the update runs again for the rest.
+        Returns the result and the rows it covers; the result is None once
+        no chain is left.
+        """
+        rows = slice(None)
+        alive = np.arange(self.size)
+        while alive.size:
+            try:
+                return update(rows), rows
+            except SingularPosteriorError as exc:
+                self.abort(exc.row, iteration, block, str(exc))
+                rows = alive = np.delete(alive, exc.row)
+        return None, rows
+
+
+def gibbs_iteration(ctx: _ChainContext, batch: _Batch, iteration: int):
+    """One full systematic-scan update of every chain in ``batch``, in place.
+
+    Returns the (cace, n_compliers) of each chain still in the batch, or
+    None once every chain has failed.
+    """
+    state, params, rngs = batch.state, batch.params, batch.rngs
+    _sample_memberships(ctx, state, params, rngs)
+    _impute_missing(ctx, state, params, rngs)
+    _impute_counterfactuals(ctx, state, params, rngs)
 
     family = ctx.spec.family
-    try:
-        if family == "probit":
-            u_never, u_split = sample_latent_utilities(
-                state.labels, ctx.x, params.stratum, rng
-            )
-            stratum = update_probit_beta(
-                u_never,
-                u_split,
-                ctx.x,
-                ctx.config.priors.beta_variance,
-                rng,
-            )
-        elif family == "mlogit":
-            stratum = update_mlogit_gamma(
-                params.stratum,
-                state.labels,
-                ctx.x,
-                ctx.config.priors.mlogit_variance,
-                rng,
-                proposal,
-            )
-        else:
-            stratum = update_proportions(
-                state.labels,
-                np.asarray(ctx.config.priors.dirichlet_concentration, float),
-                rng,
-            )
-    except SingularPosteriorError as exc:
-        raise ChainAbortError(str(exc), chain_index, iteration, "stratum update")
-
-    try:
-        groups = outcome_groups(state.labels, ctx.z)
-        outcome = update_outcome_params(
-            state.y_fill,
+    priors = ctx.config.priors
+    if family == "probit":
+        u_never, u_split = sample_latent_utilities(
+            state.labels, ctx.x, params.stratum, rngs
+        )
+        stratum, _ = batch.guarded(
+            iteration,
+            "stratum update",
+            lambda rows: update_probit_beta(
+                u_never[rows], u_split[rows], ctx.x, priors.beta_variance, batch.rngs
+            ),
+        )
+    elif family == "mlogit":
+        stratum = update_mlogit_gamma(
+            params.stratum,
+            state.labels,
             ctx.x,
-            groups,
-            params.outcome.sigma2,
+            priors.mlogit_variance,
+            rngs,
+            batch.proposal,
+        )
+    else:
+        stratum = update_proportions(
+            state.labels,
+            np.asarray(priors.dirichlet_concentration, float),
+            rngs,
+        )
+
+    if not batch.size:
+        return None
+    state = batch.state
+    groups = outcome_groups(state.labels, ctx.z)
+    sigma2 = batch.params.outcome.sigma2
+    outcome, rows = batch.guarded(
+        iteration,
+        "outcome update",
+        lambda rows: update_outcome_params(
+            state.y_fill[rows],
+            ctx.x,
+            groups[rows],
+            sigma2[rows],
             ctx.outcome_priors,
             ctx.variant,
-            rng,
-        )
-    except SingularPosteriorError as exc:
-        raise ChainAbortError(str(exc), chain_index, iteration, "outcome update")
+            batch.rngs,
+        ),
+    )
+    if not batch.size:
+        return None
+    if not isinstance(rows, slice):  # a chain left in the outcome update
+        stratum = _select(stratum, rows)
+    batch.params = ParameterState(stratum, outcome)
+    return compute_cace(batch.state, ctx.z)
 
-    cace, n_c = compute_cace(state, ctx.z)
-    return ParameterState(stratum, outcome), cace, n_c
 
-
-def _initial_params(ctx: _ChainContext, chain_index: int, rng) -> ParameterState:
+def _initial_params(ctx: _ChainContext, chains, rng) -> ParameterState:
     """Overdispersed start: prior means offset by one prior SD, sign by chain.
 
     Only intercepts are offset; slopes start at their prior mean.  A slope
@@ -419,108 +543,107 @@ def _initial_params(ctx: _ChainContext, chain_index: int, rng) -> ParameterState
     For the logit the two score equations take opposite signs, since shared
     extreme scores starve the reference stratum in both arms.
     """
-    delta = 1.0 if chain_index % 2 == 0 else -1.0
+    delta = np.where(np.asarray(chains) % 2 == 0, 1.0, -1.0)[:, None]
+    zero = np.zeros_like(delta)
     pr = ctx.config.priors
     if ctx.spec.family == "probit":
         off = delta * np.sqrt(pr.beta_variance)
-        stratum = ProbitStratumParams(np.array([off, 0.0, off, 0.0]))
+        stratum = ProbitStratumParams(np.stack([off, zero, off, zero]))
     elif ctx.spec.family == "mlogit":
         off = delta * np.sqrt(pr.mlogit_variance)
         stratum = MlogitStratumParams(
-            np.array([off, 0.0]), np.array([-off, 0.0])
+            np.stack([off, zero]), np.stack([-off, zero])
         )
     else:
-        stratum = StratumProportions(
-            sample_dirichlet(
-                np.zeros(3), np.asarray(pr.dirichlet_concentration, float), rng
-            )
+        pi = sample_dirichlet(
+            np.zeros((delta.shape[0], 3)),
+            np.asarray(pr.dirichlet_concentration, float),
+            rng,
         )
+        stratum = StratumProportions(coefficients_first(pi, pi.shape[:1]))
     op = ctx.outcome_priors
     intercept = op.center + delta * np.sqrt(op.intercept_variance)
-    alpha = np.column_stack([np.full(4, intercept), np.zeros(4)])
-    outcome = OutcomeParams(alpha, ctx.sigma2_init, ctx.variant)
+    alpha = np.stack([np.stack([intercept, zero])] * 4)
+    outcome = OutcomeParams(alpha, np.full_like(delta, ctx.sigma2_init), ctx.variant)
     return ParameterState(stratum, outcome)
 
 
 def _initial_state(ctx: _ChainContext, params: ParameterState, rng) -> StratumState:
-    labels = ctx.base_labels.copy()
-    for idx, alt in ((ctx.ctrl_mix, NEVER_TAKER), (ctx.trt_mix, ALWAYS_TAKER)):
-        if idx.size:
-            labels[idx] = np.where(
-                rng.uniform(size=idx.size) < 0.5, COMPLIER, alt
-            )
-    y_fill = ctx.y.copy()
+    k = len(rng)
     state = StratumState(
-        labels=labels,
-        y_fill=y_fill,
-        y_cf=np.full(ctx.n, np.nan),
+        labels=np.tile(ctx.base_labels, (k, 1)),
+        y_fill=np.tile(ctx.y, (k, 1)),
+        y_cf=np.full((k, ctx.n), np.nan),
     )
+    n_ctrl = ctx.ctrl_mix.size
+    u = chain_draws(rng, "random", (k, n_ctrl + ctx.trt_mix.size))
+    for idx, alt, draws in (
+        (ctx.ctrl_mix, NEVER_TAKER, u[:, :n_ctrl]),
+        (ctx.trt_mix, ALWAYS_TAKER, u[:, n_ctrl:]),
+    ):
+        state.labels[:, idx] = np.where(draws < 0.5, COMPLIER, alt)
     _impute_missing(ctx, state, params, rng)
     return state
 
 
 def run_chain(
-    dataset: Dataset, config: ModelConfig, chain_index: int, progress=None
-) -> Chain:
-    """Run one chain to completion and return its saved draws.
+    dataset: Dataset, config: ModelConfig, chain_indices, progress=None
+) -> ModelFit:
+    """Run the chains ``chain_indices`` together, one sweep advancing all.
 
-    ``progress`` is an optional callable(chain_index, iteration,
-    total_iterations, n_compliers) invoked every few hundred iterations.
+    Chain k always draws from random stream k, exactly as it would alone, so
+    its draws do not depend on which chains run beside it.  A chain that
+    aborts is reported in ``failures`` while the others still return their
+    draws.  ``progress`` is an optional callable(chain_index, iteration,
+    total_iterations, n_compliers), invoked for each chain every few hundred
+    iterations.
     """
     ctx = _ChainContext(dataset, config)
-    rng = RngStream(seed=config.seed, stream_id=chain_index).generator()
-    params = _initial_params(ctx, chain_index, rng)
-    state = _initial_state(ctx, params, rng)
-    proposal = MlogitProposal.default() if ctx.spec.family == "mlogit" else None
-
-    n_saved = config.n_saved_per_chain
-    saved_params = np.empty((n_saved, len(ctx.spec.param_names)))
-    saved_cace = np.empty(n_saved)
-    saved_n_c = np.empty(n_saved, dtype=np.int32)
-
+    batch = _Batch(ctx, chain_indices)
     total = config.burn_in + config.kept
     save_slot = 0
-    last_n_c = 0
     for it in range(1, total + 1):
-        adapting = proposal is not None and it <= config.burn_in
-        params, cace, n_c = gibbs_iteration(
-            ctx, state, params, rng, proposal, chain_index, it
-        )
-        last_n_c = n_c
-        if adapting and it % _ADAPT_EVERY == 0:
-            proposal.adapt()
+        draw = gibbs_iteration(ctx, batch, it)
+        if draw is None:
+            break
+        cace, n_c = draw
+        if batch.proposal is not None and it <= config.burn_in:
+            if it % _ADAPT_EVERY == 0:
+                batch.proposal.adapt()
+            if it == config.burn_in:
+                batch.proposal.reset()  # report post-burn-in acceptance only
         post = it - config.burn_in
         if post > 0 and post % config.thin == 0:
-            saved_params[save_slot] = params.to_vector()
-            saved_cace[save_slot] = cace
-            saved_n_c[save_slot] = n_c
+            vector = batch.params.to_vector()
+            batch.saved_params[:, save_slot] = vector.reshape(vector.shape[0], -1).T
+            batch.saved_cace[:, save_slot] = cace
+            batch.saved_n_c[:, save_slot] = n_c
             save_slot += 1
         if progress is not None and (it % 500 == 0 or it == total):
-            progress(chain_index, it, total, n_c)
+            for k, n_c_k in zip(batch.chains, n_c):
+                progress(int(k), it, total, int(n_c_k))
 
-    assert save_slot == n_saved
-    return Chain(
-        chain_index=chain_index,
-        thin=config.thin,
-        param_names=ctx.spec.param_names,
-        params=saved_params,
-        cace=saved_cace,
-        n_compliers=saved_n_c,
-    )
+    chains = []
+    for row, k in enumerate(batch.chains):
+        report = {}
+        if batch.proposal is not None:
+            acceptance, proposal_sd = batch.proposal.report(row)
+            report = dict(acceptance=acceptance, proposal_sd=proposal_sd)
+        chains.append(
+            Chain(
+                chain_index=int(k),
+                thin=config.thin,
+                param_names=ctx.spec.param_names,
+                params=batch.saved_params[row],
+                cace=batch.saved_cace[row],
+                n_compliers=batch.saved_n_c[row],
+                **report,
+            )
+        )
+    failures = sorted(batch.failures, key=lambda f: f.chain_index)
+    return ModelFit(config=config, chains=tuple(chains), failures=tuple(failures))
 
 
 def run_model(dataset: Dataset, config: ModelConfig, progress=None) -> ModelFit:
-    """Run all chains one after another and pool the survivors.
-
-    Chain k always draws from random stream k.  A chain that aborts is
-    reported in ``failures`` while the remaining chains still return their
-    draws.
-    """
-    chains: list[Chain] = []
-    failures: list[ChainFailure] = []
-    for k in range(config.n_chains):
-        try:
-            chains.append(run_chain(dataset, config, k, progress=progress))
-        except ChainAbortError as exc:
-            failures.append(ChainFailure(k, type(exc).__name__, str(exc)))
-    return ModelFit(config=config, chains=tuple(chains), failures=tuple(failures))
+    """Run all chains of ``config`` as one batch and pool the survivors."""
+    return run_chain(dataset, config, range(config.n_chains), progress=progress)

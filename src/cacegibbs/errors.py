@@ -31,7 +31,15 @@ class EmptyArmError(InputError):
 
 
 class SingularPosteriorError(CacegibbsError):
-    """A conjugate update produced a numerically singular posterior precision."""
+    """A conjugate update produced a numerically singular posterior precision.
+
+    ``row`` is the batch row of the first chain whose posterior is singular;
+    a batched update raises before any chain draws.
+    """
+
+    def __init__(self, message, row=0):
+        super().__init__(message)
+        self.row = row
 
 
 class ChainAbortError(CacegibbsError):

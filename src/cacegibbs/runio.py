@@ -250,6 +250,15 @@ def summary_payload(fit: ModelFit) -> dict:
         }
     except InsufficientDrawsError as exc:
         payload["psrf"] = {"threshold": PSRF_THRESHOLD, "unavailable": str(exc)}
+    if any(c.acceptance is not None for c in fit.chains):
+        payload["metropolis"] = [
+            {
+                "chain": c.chain_index,
+                "acceptance": dict(zip(("never", "always"), c.acceptance)),
+                "proposal_sd": dict(zip(("never", "always"), map(list, c.proposal_sd))),
+            }
+            for c in fit.chains
+        ]
     return payload
 
 

@@ -6,7 +6,10 @@ always-taker) to match.
 
 Every coefficient array may carry trailing draw axes after its coefficient
 axis (``beta`` of shape (4, D, 1), say): broadcasting against covariates of
-shape (n,) then evaluates all D saved draws at once as (D, n) arrays.
+shape (n,) then evaluates all D saved draws at once as (D, n) arrays.  The
+sweep holds K chains this way, as (K, 1) trailing axes against (K, n)
+labels; the updates below take such a batch with one generator per chain
+(``distributions``), or a lone chain with a lone generator.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from scipy.special import log_ndtr, ndtr
 
 from .distributions import (
     NormalLinearPrior,
+    chain_draws,
     sample_conjugate_sums_2,
     sample_dirichlet,
     truncated_normal_draws,
@@ -26,6 +30,17 @@ from .distributions import (
 COMPLIER = 0
 NEVER_TAKER = 1
 ALWAYS_TAKER = 2
+
+
+def coefficients_first(values, lead):
+    """Per-chain values with the chains leading, ``lead`` = (K,), as the
+    parameter layout: the value axes first, then a (K, 1) chain axis that
+    broadcasts over patients.  A lone chain (``lead`` = ()) keeps its shape.
+    """
+    values = np.asarray(values)
+    if not lead:
+        return values
+    return values.transpose(*range(1, values.ndim), 0)[..., None]
 
 
 @dataclass(frozen=True)
@@ -161,25 +176,30 @@ def log_stratum_probs(x, params):
 def sample_latent_utilities(labels, x, params: ProbitStratumParams, rng):
     """Draw the probit latent utilities consistent with the current labels.
 
-    Returns (u_never, u_split).  u_never is drawn for every patient:
-    nonpositive for never-takers, positive otherwise.  u_split exists only
-    for non-never-takers (NaN elsewhere): nonpositive for compliers,
-    positive for always-takers.  Underflowed truncations are clamped just
-    past the bound so extreme transient coefficients cannot kill a chain.
+    Returns (u_never, u_split), shaped like ``labels``.  u_never is drawn for
+    every patient: nonpositive for never-takers, positive otherwise.  u_split
+    exists only for non-never-takers (NaN elsewhere): nonpositive for
+    compliers, positive for always-takers.  Underflowed truncations are
+    clamped just past the bound so extreme transient coefficients cannot
+    kill a chain.
     """
     labels = np.asarray(labels)
     x = np.asarray(x, dtype=float)
     b = params.beta
-    eta_n = b[0] + b[1] * x
-    above_n = labels != NEVER_TAKER
-    u_never = truncated_normal_draws(eta_n, 0.0, above_n, rng)
-
     not_never = labels != NEVER_TAKER
-    u_split = np.full(x.shape, np.nan)
+    u_never = truncated_normal_draws(b[0] + b[1] * x, 0.0, not_never, rng)
+
+    u_split = np.full(labels.shape, np.nan)
     if not_never.any():
-        eta_c = b[2] + b[3] * x[not_never]
+        eta_c = b[2] + b[3] * x
         above_c = labels[not_never] == ALWAYS_TAKER
-        u_split[not_never] = truncated_normal_draws(eta_c, 0.0, above_c, rng)
+        u_split[not_never] = truncated_normal_draws(
+            eta_c[not_never],
+            0.0,
+            above_c,
+            rng,
+            np.atleast_1d(not_never.sum(axis=-1)),
+        )
     return u_never, u_split
 
 
@@ -188,51 +208,58 @@ def update_probit_beta(u_never, u_split, x, prior_variance, rng):
 
     Both equations are unit-noise linear regressions of a utility on (1, x);
     the split equation uses only rows where u_split is present.  Coefficients
-    are a priori independent N(0, prior_variance).
+    are a priori independent N(0, prior_variance).  Each chain's split sums
+    run over its own rows, so they add up in the order a lone chain's do.
     """
     x = np.asarray(x, dtype=float)
-    prior = NormalLinearPrior(np.zeros(2), np.full(2, float(prior_variance)))
+    u_never = np.asarray(u_never, dtype=float)
+    prior = NormalLinearPrior.of((0.0, 0.0), (prior_variance, prior_variance))
+    lead = u_never.shape[:-1]
 
-    n = x.size
-    b_n = sample_conjugate_sums_2(
-        n,
-        float(x.sum()),
-        float((x * x).sum()),
-        float(u_never.sum()),
-        float((x * u_never).sum()),
-        1.0,
-        prior,
-        rng,
-    )
+    # split sums chain by chain, over each chain's non-never-takers
     mask = ~np.isnan(u_split)
-    xs = x[mask]
-    us = u_split[mask]
-    b_c = sample_conjugate_sums_2(
-        int(mask.sum()),
-        float(xs.sum()),
-        float((xs * xs).sum()),
-        float(us.sum()),
-        float((xs * us).sum()),
-        1.0,
-        prior,
-        rng,
+    counts = np.atleast_1d(mask.sum(axis=-1))
+    columns = np.empty((4, counts.sum()))
+    xs, xxs, us, xus = columns
+    xs[:] = np.broadcast_to(x, mask.shape)[mask]
+    np.multiply(xs, xs, out=xxs)
+    us[:] = u_split[mask]
+    np.multiply(xs, us, out=xus)
+    ends = np.cumsum(counts)
+    split = [columns[:, a:b].sum(axis=1) for a, b in zip(ends - counts, ends)]
+
+    # (n, sum x, sum x^2, sum u, sum xu) by chain and equation (never, split)
+    stats = np.empty((5, counts.size, 2))
+    stats[:3, :, 0] = np.array([x.size, x.sum(), (x * x).sum()])[:, None]
+    stats[3, :, 0] = u_never.sum(axis=-1)
+    stats[4, :, 0] = (x * u_never).sum(axis=-1)
+    stats[0, :, 1] = counts
+    stats[1:, :, 1] = np.transpose(split)
+    # one call draws both equations, never then split, for every chain
+    coefs = sample_conjugate_sums_2(
+        *stats.reshape(5, *lead, 2), 1.0, prior, rng
     )
-    return ProbitStratumParams(np.concatenate([b_n, b_c]))
+    return ProbitStratumParams(coefficients_first(coefs.reshape(*lead, 4), lead))
 
 
-def mlogit_log_likelihood(labels, x, params: MlogitStratumParams) -> float:
+def mlogit_log_likelihood(labels, x, params: MlogitStratumParams):
     """Log likelihood of the current labels under the multinomial logit."""
-    log_probs = np.stack(log_stratum_probs(x, params), axis=0)
-    return float(log_probs[np.asarray(labels), np.arange(len(labels))].sum())
+    # log_stratum_probs is ordered by label code (complier, never, always)
+    return np.choose(labels, log_stratum_probs(x, params)).sum(axis=-1)
 
 
-def _gaussian_log_prior(coefs, prior_variance):
-    return float(-0.5 * np.sum(coefs * coefs) / prior_variance)
+def _gaussian_log_prior(coefs, prior_variance, lead):
+    return np.reshape(-0.5 * np.sum(coefs * coefs, axis=0) / prior_variance, lead)
 
 
 @dataclass
 class MlogitProposal:
-    """Random-walk proposal scales with burn-in acceptance tracking."""
+    """Random-walk proposal scales with acceptance tracking.
+
+    ``sd_n`` and ``sd_a`` hold each block's (intercept, slope) scales and
+    ``accepted``/``attempted`` the (never, always) block counts, one row per
+    chain; ``default()`` without a chain count is a lone chain's single row.
+    """
 
     sd_n: np.ndarray
     sd_a: np.ndarray
@@ -240,26 +267,45 @@ class MlogitProposal:
     attempted: np.ndarray
 
     @classmethod
-    def default(cls):
+    def default(cls, n_chains=None):
+        lead = () if n_chains is None else (n_chains,)
         return cls(
-            sd_n=np.array([0.5, 0.05]),
-            sd_a=np.array([0.5, 0.05]),
-            accepted=np.zeros(2),
-            attempted=np.zeros(2),
+            sd_n=np.tile([0.5, 0.05], (*lead, 1)),
+            sd_a=np.tile([0.5, 0.05], (*lead, 1)),
+            accepted=np.zeros((*lead, 2)),
+            attempted=np.zeros((*lead, 2)),
         )
 
     def adapt(self, low=0.3, high=0.5, factor=1.25):
         """Rescale each block toward the target acceptance window, then reset."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate = self.accepted / self.attempted
         for i, sd in enumerate((self.sd_n, self.sd_a)):
-            if self.attempted[i] == 0:
-                continue
-            rate = self.accepted[i] / self.attempted[i]
-            if rate > high:
-                sd *= factor
-            elif rate < low:
-                sd /= factor
+            # an untried block (rate NaN) keeps its scale
+            sd *= np.where(rate[..., i] > high, factor, 1.0)[..., None]
+            sd /= np.where(rate[..., i] < low, factor, 1.0)[..., None]
+        self.reset()
+
+    def reset(self):
         self.accepted[:] = 0.0
         self.attempted[:] = 0.0
+
+    def report(self, row):
+        """Chain ``row``'s acceptance rate of each block since the last
+        reset (None for a block never tried) and its (never, always)
+        proposal scales, as plain floats."""
+        acceptance = tuple(
+            float(a / t) if t else None
+            for a, t in zip(self.accepted[row], self.attempted[row])
+        )
+        scales = (tuple(map(float, self.sd_n[row])), tuple(map(float, self.sd_a[row])))
+        return acceptance, scales
+
+    def select(self, rows) -> MlogitProposal:
+        """The proposals of the chains in ``rows``."""
+        return MlogitProposal(
+            self.sd_n[rows], self.sd_a[rows], self.accepted[rows], self.attempted[rows]
+        )
 
 
 def update_mlogit_gamma(
@@ -273,11 +319,13 @@ def update_mlogit_gamma(
     """One Metropolis sweep over the two logit coefficient blocks.
 
     Each block gets a Gaussian random-walk proposal accepted against the
-    label likelihood times the N(0, prior_variance) prior.  Acceptance
-    counts accumulate in ``proposal`` for burn-in adaptation.
+    label likelihood times the N(0, prior_variance) prior; every chain
+    accepts or rejects on its own.  Acceptance counts accumulate in
+    ``proposal`` for burn-in adaptation and the run report.
     """
     labels = np.asarray(labels)
     x = np.asarray(x, dtype=float)
+    lead = labels.shape[:-1]
     gamma_n = params.gamma_n.copy()
     gamma_a = params.gamma_a.copy()
 
@@ -285,7 +333,8 @@ def update_mlogit_gamma(
     for block, (gamma, sd) in enumerate(
         ((gamma_n, proposal.sd_n), (gamma_a, proposal.sd_a))
     ):
-        cand = gamma + sd * rng.standard_normal(2)
+        step = sd * chain_draws(rng, "standard_normal", sd.shape)
+        cand = gamma + coefficients_first(step, lead)
         if block == 0:
             cand_params = MlogitStratumParams(cand, gamma_a)
         else:
@@ -294,19 +343,23 @@ def update_mlogit_gamma(
         log_ratio = (
             cand_ll
             - cur_ll
-            + _gaussian_log_prior(cand, prior_variance)
-            - _gaussian_log_prior(gamma, prior_variance)
+            + _gaussian_log_prior(cand, prior_variance, lead)
+            - _gaussian_log_prior(gamma, prior_variance, lead)
         )
-        proposal.attempted[block] += 1
-        if np.log(rng.uniform()) < log_ratio:
-            gamma[:] = cand
-            cur_ll = cand_ll
-            proposal.accepted[block] += 1
+        accept = np.log(chain_draws(rng, "random", lead)) < log_ratio
+        proposal.attempted[..., block] += 1
+        proposal.accepted[..., block] += accept
+        gamma[:] = np.where(np.reshape(accept, gamma.shape[1:]), cand, gamma)
+        cur_ll = np.where(accept, cand_ll, cur_ll)
     return MlogitStratumParams(gamma_n, gamma_a)
 
 
 def update_proportions(labels, concentration, rng) -> StratumProportions:
     """Conjugate Dirichlet draw of the covariate-free stratum proportions."""
     labels = np.asarray(labels)
-    counts = np.bincount(labels, minlength=3).astype(float)
-    return StratumProportions(sample_dirichlet(counts, concentration, rng))
+    lead = labels.shape[:-1]
+    rows = np.atleast_2d(labels)
+    bins = rows + 3 * np.arange(len(rows))[:, None]
+    counts = np.bincount(bins.ravel(), minlength=3 * len(rows)).astype(float)
+    pi = sample_dirichlet(counts.reshape(*lead, 3), concentration, rng)
+    return StratumProportions(coefficients_first(pi, lead))

@@ -83,6 +83,25 @@ def test_fit_reruns_are_byte_identical(dataset_csv, config_json, tmp_path):
     assert (out2 / "summary.json").read_bytes() == summary
 
 
+def test_summary_reports_cstar_metropolis_acceptance(dataset_csv, config_json, tmp_path):
+    """Cstar fits report each chain's post-burn-in acceptance and final
+    proposal scales, byte-stable across reruns; other variants do not."""
+    out1, out2, out_a = (tmp_path / d for d in ("c1", "c2", "a"))
+    assert _fit(dataset_csv, config_json, out1, extra=("--variant", "Cstar")) == 0
+    assert _fit(dataset_csv, config_json, out2, extra=("--variant", "Cstar")) == 0
+    assert _fit(dataset_csv, config_json, out_a, extra=("--variant", "A")) == 0
+    summary = (out1 / "summary.json").read_bytes()
+    assert (out2 / "summary.json").read_bytes() == summary
+    report = json.loads(summary)["metropolis"]
+    assert [entry["chain"] for entry in report] == [0, 1]
+    for entry in report:
+        assert set(entry["acceptance"]) == {"never", "always"}
+        assert all(0.0 <= rate <= 1.0 for rate in entry["acceptance"].values())
+        for sd in entry["proposal_sd"].values():
+            assert len(sd) == 2 and all(v > 0 for v in sd)
+    assert "metropolis" not in json.loads((out_a / "summary.json").read_text())
+
+
 def test_fit_flag_overrides_config(dataset_csv, config_json, tmp_path):
     out = tmp_path / "fit"
     code = _fit(

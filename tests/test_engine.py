@@ -5,15 +5,16 @@ import pytest
 
 from cacegibbs.data import Dataset, PatientRecord
 from cacegibbs.distributions import RngStream
+import cacegibbs.engine as engine
 from cacegibbs.engine import (
+    ChainFailure,
     ModelConfig,
     ParameterState,
     PriorConfig,
     StratumState,
+    _Batch,
     _ChainContext,
     _impute_counterfactuals,
-    _initial_params,
-    _initial_state,
     _sample_memberships,
     complier_probability,
     compute_cace,
@@ -24,7 +25,7 @@ from cacegibbs.engine import (
     run_chain,
     run_model,
 )
-from cacegibbs.errors import ValidationError
+from cacegibbs.errors import SingularPosteriorError, ValidationError
 from cacegibbs.outcomes import OutcomeParams
 from cacegibbs.simulation import DgpConfig, generate_dataset
 from cacegibbs.strata import COMPLIER, ProbitStratumParams, StratumProportions
@@ -184,7 +185,7 @@ def test_resolve_outcome_priors_centering():
 def test_chain_shapes_and_saved_iterations():
     ds = _small_dataset(seed=1)
     config = ModelConfig(variant="D", burn_in=40, kept=60, thin=10, n_chains=1)
-    chain = run_chain(ds, config, 0)
+    chain = run_chain(ds, config, [0]).chains[0]
     assert chain.n_saved == 6
     assert np.array_equal(chain.saved_iterations, [10, 20, 30, 40, 50, 60])
     assert chain.params.shape == (6, 12)
@@ -196,33 +197,108 @@ def test_chain_shapes_and_saved_iterations():
 
 
 def test_complier_indicators_only_vary_on_mixture_patients():
-    """Checks on the live sweep state: labels, complier count, counterfactuals."""
+    """Checks on the live sweep state of every chain in a batch: labels,
+    complier count, counterfactuals."""
     ds = _small_dataset(seed=2)
     ctx = _ChainContext(ds, ModelConfig(variant="A", **FAST))
-    rng = RngStream(seed=0).generator()
-    params = _initial_params(ctx, 0, rng)
-    state = _initial_state(ctx, params, rng)
+    batch = _Batch(ctx, range(3))
     mixture = (ds.pattern == 0) | (ds.pattern == 3)
     z = np.asarray(ds.z)
     # complier groups far apart, so a counterfactual shows which it came from
-    separated = ParameterState(
+    lone = ParameterState(
         ProbitStratumParams(np.zeros(4)),
         _flat_outcome([0.0, 0.0, 100.0, 200.0], 1.0, "A"),
     )
-    seen = np.zeros(ds.n, dtype=bool)
+    separated = ParameterState.from_vector(
+        "A", np.repeat(lone.to_vector()[:, None, None], 3, axis=1)
+    )
+    seen = np.zeros((3, ds.n), dtype=bool)
     for it in range(1, 61):
-        params, _, n_c = gibbs_iteration(ctx, state, params, rng, None, 0, it)
-        compl = state.labels == COMPLIER
-        seen |= compl
-        assert not compl[~mixture].any()  # revealed patients are never compliers
-        assert n_c == int(compl.sum())
-        assert np.array_equal(~np.isnan(state.y_cf), compl)
-        _impute_counterfactuals(ctx, state, separated, rng)
-        # treated compliers draw from the control complier group, and back
-        assert np.all(np.abs(state.y_cf[compl & (z == 1)] - 100.0) < 6.0)
-        assert np.all(np.abs(state.y_cf[compl & (z == 0)] - 200.0) < 6.0)
-        assert np.all(np.isnan(state.y_cf[~compl]))
-    assert seen[mixture].any()
+        _, n_c = gibbs_iteration(ctx, batch, it)
+        state = batch.state
+        for row in range(3):
+            compl = state.labels[row] == COMPLIER
+            seen[row] |= compl
+            assert not compl[~mixture].any()  # revealed patients are never compliers
+            assert n_c[row] == int(compl.sum())
+            assert np.array_equal(~np.isnan(state.y_cf[row]), compl)
+        _impute_counterfactuals(ctx, state, separated, batch.rngs)
+        for row in range(3):
+            compl = state.labels[row] == COMPLIER
+            y_cf = state.y_cf[row]
+            # treated compliers draw from the control complier group, and back
+            assert np.all(np.abs(y_cf[compl & (z == 1)] - 100.0) < 6.0)
+            assert np.all(np.abs(y_cf[compl & (z == 0)] - 200.0) < 6.0)
+            assert np.all(np.isnan(y_cf[~compl]))
+    assert seen[:, mixture].any(axis=1).all()
+
+
+def _missing_in_both_mixtures(seed=9, n=90):
+    """Generated data with every fifth outcome missing, in both mixture patterns."""
+    ds = _small_dataset(seed=seed, n=n)
+    records = [
+        PatientRecord(r.id, r.z, r.d_obs, None if i % 5 == 2 else r.y_obs, r.x)
+        for i, r in enumerate(ds.records)
+    ]
+    ds = Dataset(records)
+    missing_patterns = set(ds.pattern[ds.y_missing].tolist())
+    assert {0, 3} <= missing_patterns
+    return ds
+
+
+def _assert_same_chain(a, b):
+    assert a.chain_index == b.chain_index
+    assert np.array_equal(a.params, b.params)
+    assert np.array_equal(a.cace, b.cace, equal_nan=True)
+    assert np.array_equal(a.n_compliers, b.n_compliers)
+
+
+@pytest.mark.parametrize("variant", ["A", "Astar", "B", "Cstar", "D"])
+def test_lone_chain_equals_its_row_of_the_batch(variant):
+    """Chain k draws from stream k exactly as it would alone."""
+    ds = _missing_in_both_mixtures()
+    config = ModelConfig(variant=variant, burn_in=60, kept=60, thin=3, n_chains=3)
+    batch = run_model(ds, config)
+    assert len(batch.chains) == 3
+    for k in range(3):
+        _assert_same_chain(run_chain(ds, config, [k]).chains[0], batch.chains[k])
+
+
+@pytest.mark.parametrize(
+    "variant, update, block",
+    [
+        ("A", "update_probit_beta", "stratum update"),
+        ("Astar", "update_outcome_params", "outcome update"),
+    ],
+)
+def test_singular_chain_leaves_batch_others_unchanged(monkeypatch, variant, update, block):
+    """Chain 1 of three turns singular at iteration 7: it is reported, and
+    chains 0 and 2 keep the draws of a batch of {0, 2}."""
+    ds = _missing_in_both_mixtures()
+    config = ModelConfig(variant=variant, burn_in=30, kept=30, thin=3, n_chains=3)
+    expected = run_chain(ds, config, [0, 2])
+    real = getattr(engine, update)
+    full_batch_calls = []
+
+    def singular_for_chain_1(*args):
+        if len(args[0]) == 3:  # the whole batch is still in
+            full_batch_calls.append(1)
+            if len(full_batch_calls) == 7:
+                raise SingularPosteriorError("forced", row=1)
+        return real(*args)
+
+    monkeypatch.setattr(engine, update, singular_for_chain_1)
+    fit = run_model(ds, config)
+    assert fit.failures == (
+        ChainFailure(
+            1,
+            "ChainAbortError",
+            f"chain 1 aborted at iteration 7 in {block}: forced",
+        ),
+    )
+    assert [c.chain_index for c in fit.chains] == [0, 2]
+    for got, want in zip(fit.chains, expected.chains):
+        _assert_same_chain(got, want)
 
 
 @pytest.mark.parametrize("variant", ["A", "Astar", "B", "Cstar", "D"])
@@ -287,17 +363,17 @@ def test_constant_covariate_fits_with_default_priors():
 
 def test_progress_callback_cadence():
     ds = _small_dataset(seed=7)
-    config = ModelConfig(variant="D", burn_in=300, kept=700, thin=10, n_chains=1)
+    config = ModelConfig(variant="D", burn_in=300, kept=700, thin=10, n_chains=2)
     calls = []
-    run_chain(ds, config, 0, progress=lambda k, it, total, n_c: calls.append((k, it, total)))
-    assert calls == [(0, 500, 1000), (0, 1000, 1000)]
+    run_model(ds, config, progress=lambda k, it, total, n_c: calls.append((k, it, total)))
+    assert calls == [(0, 500, 1000), (1, 500, 1000), (0, 1000, 1000), (1, 1000, 1000)]
 
 
 def test_parameter_vector_matches_names():
     ds = _small_dataset(seed=8)
     for variant in ("A", "Cstar", "D"):
         config = ModelConfig(variant=variant, burn_in=10, kept=10, thin=5, n_chains=1)
-        chain = run_chain(ds, config, 0)
+        chain = run_chain(ds, config, [0]).chains[0]
         assert chain.params.shape[1] == len(default_param_names(variant))
 
 
@@ -309,4 +385,4 @@ def test_too_few_observed_outcomes_rejected():
         ]
     )
     with pytest.raises(ValidationError):
-        run_chain(ds, ModelConfig(variant="D", **FAST), 0)
+        run_chain(ds, ModelConfig(variant="D", **FAST), [0])
