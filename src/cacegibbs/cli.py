@@ -230,7 +230,15 @@ def cmd_simulate(args) -> int:
         config_dict=dataclasses.asdict(mc),
         seeds={"master_seed": mc.master_seed},
         outputs=outputs,
-        extra={"cells_failed": sum(c.n_failed for c in result.cells)},
+        extra={
+            "cells_failed": sum(c.n_failed for c in result.cells),
+            # why each dropped replicate's chains aborted; the CSVs only count them
+            "replicate_failures": [
+                {"corr_xy": c.corr_xy, "variant": c.variant, **dataclasses.asdict(f)}
+                for c in result.cells
+                for f in c.failures
+            ],
+        },
     )
     runio.write_json(out / runio.MANIFEST_NAME, manifest)
     log.info("wrote %s", ", ".join([*outputs, runio.MANIFEST_NAME]))

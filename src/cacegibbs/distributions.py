@@ -187,7 +187,10 @@ def truncated_normal_draws(means, bound, above_mask, rng, sizes=None):
 
 @dataclass(frozen=True)
 class NormalLinearPrior:
-    """Independent normal priors for linear-model coefficients."""
+    """Independent normal priors for linear-model coefficients.
+
+    ``mean`` may carry leading axes, one prior mean per regression of a
+    batch, with the coefficients on its last axis."""
 
     mean: np.ndarray
     variance: np.ndarray
@@ -197,8 +200,8 @@ class NormalLinearPrior:
         object.__setattr__(
             self, "variance", np.atleast_1d(np.asarray(self.variance, float))
         )
-        if self.mean.shape != self.variance.shape:
-            raise ValueError("prior mean and variance must have the same shape")
+        if self.mean.shape[-1:] != self.variance.shape:
+            raise ValueError("prior means and variances must cover one coefficient set")
         if not np.all(self.variance > 0):
             raise ValueError("prior variances must be positive")
 
@@ -280,8 +283,8 @@ def sample_conjugate_sums_2(
         bad = np.broadcast_to(~ok & (n != 0), shape)
         row = int(np.argmax(bad.reshape(len(generators(rng)), -1).any(axis=1)))
         raise SingularPosteriorError("2x2 posterior precision is ill conditioned", row)
-    r1 = sy / noise_variance + pm[0] / pv[0]
-    r2 = sxy / noise_variance + pm[1] / pv[1]
+    r1 = sy / noise_variance + pm[..., 0] / pv[0]
+    r2 = sxy / noise_variance + pm[..., 1] / pv[1]
     m1 = (p22 * r1 - p12 * r2) / det
     m2 = (p11 * r2 - p12 * r1) / det
     z = chain_draws(rng, "standard_normal", (*m1.shape, 2))

@@ -13,13 +13,13 @@ k takes its random draws from stream k in exactly the order it would alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.special import expit
 
 from .data import Dataset, ObservedPattern
-from .distributions import RngStream, chain_draws, generators, sample_dirichlet
+from .distributions import RngStream, generators, ragged_draws, sample_dirichlet
 from .errors import ChainAbortError, SingularPosteriorError, ValidationError
 from .outcomes import (
     GROUP_ALWAYS,
@@ -290,38 +290,170 @@ def complier_probability(x, y, z, state: ParameterState):
     return np.where(np.isnan(diff), 0.5, expit(diff))
 
 
-class _ChainContext:
-    """Immutable per-fit data shared by all iterations of every chain."""
+def _base_labels(pattern) -> np.ndarray:
+    """Known strata from the observed patterns; mixture patients start as compliers."""
+    labels = np.full(pattern.shape, COMPLIER, dtype=np.int8)
+    labels[pattern == ObservedPattern.KNOWN_NEVER_TAKER.value] = NEVER_TAKER
+    labels[pattern == ObservedPattern.KNOWN_ALWAYS_TAKER.value] = ALWAYS_TAKER
+    return labels
 
-    def __init__(self, dataset: Dataset, config: ModelConfig):
+
+def _initial_variance(dataset: Dataset) -> float:
+    observed = dataset.y[~dataset.y_missing]
+    if observed.size < 2:
+        raise ValidationError("fitting requires at least two observed outcomes")
+    variance = float(observed.var(ddof=1))
+    if variance <= 0:
+        raise ValidationError("observed outcomes are constant")
+    return variance
+
+
+def _gather(values, rows, cols):
+    """Entries (rows[i], cols[i]) of per-row ``values``; (n,) values are
+    every row's."""
+    return values[cols] if values.ndim == 1 else values[rows, cols]
+
+
+_MIXTURE_ARMS = (ObservedPattern.MIXTURE_CONTROL_ARM, ObservedPattern.MIXTURE_TREATED_ARM)
+
+
+class _MixtureSlots:
+    """Each row's mixture patients in slots: the control arm's in the first
+    ``width_ctrl`` columns, the treated arm's in the rest.
+
+    Row r's patients of an arm fill the first slots of the arm's block, in
+    patient order, and take the row's uniforms in that order, control block
+    first.  One dataset's slots are (width,) arrays that broadcast over the
+    batch.  Several datasets' are (R, width), and a row with fewer patients
+    than a block pads it: padding reads patient 0 and is never written.
+    """
+
+    def __init__(self, cols, x, width_ctrl, counts, valid=None):
+        self.cols = cols  # patient of each slot
+        self.x = x
+        self.width_ctrl = width_ctrl
+        self.counts = counts  # (1 or R, 2) patients of each arm
+        self.valid = valid  # False at padding
+        width = cols.shape[-1]
+        self.other = np.where(np.arange(width) < width_ctrl, NEVER_TAKER, ALWAYS_TAKER)
+        self.drawn = counts.sum(axis=1)  # uniforms of each row
+        self.rows = slice(None)  # with ``cols``, indexes the slots of (R, n) arrays
+        if valid is not None:
+            self.rows = np.arange(len(cols))[:, None]
+            j = np.arange(width)
+            local = np.where(j < width_ctrl, j, counts[:, :1] + j - width_ctrl)
+            first = np.cumsum(self.drawn) - self.drawn
+            self.draw = np.where(valid, first[:, None] + local, 0)  # slot's uniform
+            self.written = np.nonzero(valid)[0], cols[valid]
+
+    @classmethod
+    def of(cls, patterns, x, fit_of_row) -> _MixtureSlots:
+        """Slots of datasets with these ``patterns`` and centred covariates
+        ``x``, dataset ``fit_of_row[r]`` in row r."""
+        arms = [[np.flatnonzero(p == a.value) for a in _MIXTURE_ARMS] for p in patterns]
+        counts = np.array([[len(idx) for idx in row] for row in arms])
+        width_ctrl = int(counts[:, 0].max())
+        cols = np.zeros((len(arms), width_ctrl + counts[:, 1].max()), dtype=np.intp)
+        valid = np.zeros(cols.shape, dtype=bool)
+        for row, (ctrl, trt) in enumerate(arms):
+            for start, idx in ((0, ctrl), (width_ctrl, trt)):
+                cols[row, start : start + len(idx)] = idx
+                valid[row, start : start + len(idx)] = True
+        x = np.take_along_axis(np.stack(x), cols, -1)
+        if len(arms) == 1:
+            return cls(cols[0], x[0], width_ctrl, counts)
+        return cls(cols, x, width_ctrl, counts, valid).select(fit_of_row)
+
+    def select(self, keep) -> _MixtureSlots:
+        """The slots of the rows ``keep``."""
+        return _MixtureSlots(
+            self.cols[keep],
+            self.x[keep],
+            self.width_ctrl,
+            self.counts[keep],
+            self.valid[keep],
+        )
+
+    @property
+    def arms(self):
+        """(arm, column block) of each arm."""
+        return (0, slice(0, self.width_ctrl)), (1, slice(self.width_ctrl, None))
+
+    def uniforms(self, rng) -> np.ndarray:
+        """One uniform per slot, each row's drawn in one call."""
+        k = len(generators(rng))
+        u = ragged_draws(rng, "random", np.repeat(self.drawn, k // len(self.drawn)))
+        return u.reshape(k, -1) if self.valid is None else u[self.draw]
+
+    def relabel(self, labels, is_complier):
+        """Each slot's patient becomes a complier where ``is_complier`` holds,
+        else the other stratum its arm allows."""
+        new = np.where(is_complier, COMPLIER, self.other)
+        if self.valid is None:
+            labels[:, self.cols] = new
+        else:
+            labels[self.written] = new[self.valid]
+
+
+class _ChainContext:
+    """The data every sweep reads, for each row of a batch.
+
+    The rows of one fit share its dataset, held once as (n,) arrays that
+    broadcast over them.  Several fits' chains in one batch (datasets of
+    one size, dataset ``fit_of_row[r]`` in row r) hold (R, n) arrays
+    instead, and (R, 1) columns for the outcome-prior centre and the
+    starting variance.  ``select`` follows the batch when chains leave it.
+    """
+
+    def __init__(self, dataset, config: ModelConfig, fit_of_row=None):
+        datasets = [dataset] if isinstance(dataset, Dataset) else list(dataset)
         self.config = config
         self.variant = config.variant
         self.spec = VARIANT_TABLE[config.variant]
-        self.z = dataset.z.astype(np.int8)
-        self.x = dataset.x - covariate_center(dataset)
-        self.y = dataset.y
-        self.y_missing = dataset.y_missing
-        self.n = dataset.n
-        pat = dataset.pattern
-        self.ctrl_mix = np.nonzero(pat == ObservedPattern.MIXTURE_CONTROL_ARM.value)[0]
-        self.trt_mix = np.nonzero(pat == ObservedPattern.MIXTURE_TREATED_ARM.value)[0]
-        self.base_labels = np.empty(self.n, dtype=np.int8)
-        self.base_labels[pat == ObservedPattern.KNOWN_NEVER_TAKER.value] = NEVER_TAKER
-        self.base_labels[pat == ObservedPattern.KNOWN_ALWAYS_TAKER.value] = (
-            ALWAYS_TAKER
+        self.n = datasets[0].n
+        if any(d.n != self.n for d in datasets):
+            raise ValidationError("fits batched together need datasets of one size")
+
+        def per_row(values, column=False):
+            if len(datasets) == 1:
+                return values[0]
+            stacked = np.array(values)[fit_of_row]
+            return stacked[:, None] if column else stacked
+
+        x = [d.x - covariate_center(d) for d in datasets]
+        self.x = per_row(x)
+        self.z = per_row([d.z.astype(np.int8) for d in datasets])
+        self.y = per_row([d.y for d in datasets])
+        self.y_missing = per_row([d.y_missing for d in datasets])
+        self.base_labels = per_row([_base_labels(d.pattern) for d in datasets])
+        priors = [resolve_outcome_priors(d, config.priors) for d in datasets]
+        self.outcome_priors = replace(
+            priors[0], center=per_row([p.center for p in priors], column=True)
         )
-        self.base_labels[self.ctrl_mix] = COMPLIER
-        self.base_labels[self.trt_mix] = COMPLIER
-        self.outcome_priors = resolve_outcome_priors(dataset, config.priors)
-        observed = dataset.y[~dataset.y_missing]
-        if observed.size < 2:
-            raise ValidationError(
-                "fitting requires at least two observed outcomes"
+        self.sigma2_init = per_row([_initial_variance(d) for d in datasets], column=True)
+        self.mixture = _MixtureSlots.of([d.pattern for d in datasets], x, fit_of_row)
+        self._missing = {}
+
+    def missing(self, k: int):
+        """Rows, patients, x and z of the missing outcomes of ``k`` rows,
+        row after row, each row's in patient order."""
+        if k not in self._missing:
+            rows, cols = np.nonzero(np.broadcast_to(self.y_missing, (k, self.n)))
+            self._missing[k] = (
+                rows, cols, _gather(self.x, rows, cols), _gather(self.z, rows, cols)
             )
-        self.sigma2_init = float(observed.var(ddof=1))
-        if self.sigma2_init <= 0:
-            raise ValidationError("observed outcomes are constant")
-        self.missing_idx = np.nonzero(self.y_missing)[0]
+        return self._missing[k]
+
+    def select(self, keep):
+        """Keep the data of the rows ``keep``; shared data stays as it is."""
+        if self.x.ndim == 1:
+            return
+        for name in ("z", "x", "y", "y_missing", "base_labels", "sigma2_init"):
+            setattr(self, name, getattr(self, name)[keep])
+        center = self.outcome_priors.center[keep]
+        self.outcome_priors = replace(self.outcome_priors, center=center)
+        self.mixture = self.mixture.select(keep)
+        self._missing.clear()
 
 
 def _sample_memberships(ctx: _ChainContext, state, params: ParameterState, rng):
@@ -330,30 +462,23 @@ def _sample_memberships(ctx: _ChainContext, state, params: ParameterState, rng):
     A patient with a missing outcome is drawn given its current imputation.
     Each chain draws one uniform per mixture patient, control arm first.
     """
-    n_ctrl = ctx.ctrl_mix.size
-    lead = state.labels.shape[:-1]
-    u = chain_draws(rng, "random", (*lead, n_ctrl + ctx.trt_mix.size))
-    for idx, alt_label, arm, draws in (
-        (ctx.ctrl_mix, NEVER_TAKER, 0, u[..., :n_ctrl]),
-        (ctx.trt_mix, ALWAYS_TAKER, 1, u[..., n_ctrl:]),
-    ):
-        if idx.size == 0:
-            continue
-        p = complier_probability(ctx.x[idx], state.y_fill[..., idx], arm, params)
-        state.labels[..., idx] = np.where(draws < p, COMPLIER, alt_label)
+    slots = ctx.mixture
+    u = slots.uniforms(rng)
+    labels, y_fill = np.atleast_2d(state.labels, state.y_fill)  # a lone chain is one row
+    y = y_fill[slots.rows, slots.cols]
+    p = np.empty(u.shape)
+    for arm, block in slots.arms:
+        p[:, block] = complier_probability(slots.x[..., block], y[:, block], arm, params)
+    slots.relabel(labels, u < p)
 
 
 def _impute_missing(ctx: _ChainContext, state, params: ParameterState, rng):
-    idx = ctx.missing_idx
-    if idx.size == 0:
+    labels, y_fill = np.atleast_2d(state.labels, state.y_fill)
+    rows, cols, x, z = ctx.missing(len(labels))
+    if cols.size == 0:
         return
-    groups = outcome_groups(state.labels[..., idx], ctx.z[idx])
-    k = len(generators(rng))
-    x = np.concatenate([ctx.x[idx]] * k)
-    chain = np.repeat(np.arange(k), idx.size)
-    state.y_fill[..., idx] = impute_outcomes(
-        x, groups.ravel(), params.outcome, rng, chain
-    ).reshape(groups.shape)
+    groups = outcome_groups(labels[rows, cols], z)
+    y_fill[rows, cols] = impute_outcomes(x, groups, params.outcome, rng, rows)
 
 
 def _impute_counterfactuals(ctx: _ChainContext, state, params: ParameterState, rng):
@@ -363,10 +488,10 @@ def _impute_counterfactuals(ctx: _ChainContext, state, params: ParameterState, r
     if idx.size == 0:
         return
     cf_groups = np.where(
-        ctx.z[idx] == 1, GROUP_COMPLIER_CTRL, GROUP_COMPLIER_TRT
+        _gather(ctx.z, chain, idx) == 1, GROUP_COMPLIER_CTRL, GROUP_COMPLIER_TRT
     ).astype(np.int8)
     state.y_cf[compl] = impute_outcomes(
-        ctx.x[idx], cf_groups, params.outcome, rng, chain
+        _gather(ctx.x, chain, idx), cf_groups, params.outcome, rng, chain
     )
 
 
@@ -396,17 +521,24 @@ def compute_cace(state: StratumState, z):
 class _Batch:
     """The chains a sweep advances: their streams, state, parameters and draws.
 
-    Row r of every per-chain array belongs to chain ``chains[r]``.  A chain
-    whose update turns singular leaves the batch with a ``ChainFailure``;
-    the other rows carry on with the draws they would make without it.
+    Row r of every per-chain array belongs to chain ``chains[r]`` of fit
+    ``fits[r]``, which draws from stream ``chains[r]`` of seed ``seeds[r]``
+    (by default every row is a chain of the one fit of ``ctx.config``).  A
+    chain whose update turns singular leaves the batch with a
+    ``ChainFailure``; the other rows carry on with the draws they would make
+    without it.
     """
 
-    def __init__(self, ctx: _ChainContext, chain_indices):
+    def __init__(self, ctx: _ChainContext, chain_indices, seeds=None, fits=None):
         config = ctx.config
+        self.ctx = ctx
         self.chains = np.asarray(chain_indices, dtype=int)
+        self.fits = np.zeros_like(self.chains) if fits is None else np.asarray(fits)
+        if seeds is None:
+            seeds = [config.seed] * self.chains.size
         self.rngs = [
-            RngStream(seed=config.seed, stream_id=int(k)).generator()
-            for k in self.chains
+            RngStream(seed=int(seed), stream_id=int(k)).generator()
+            for seed, k in zip(seeds, self.chains)
         ]
         self.params = _initial_params(ctx, self.chains, self.rngs)
         self.state = _initial_state(ctx, self.params, self.rngs)
@@ -421,7 +553,7 @@ class _Batch:
         )
         self.saved_cace = np.empty((self.chains.size, n_saved))
         self.saved_n_c = np.empty((self.chains.size, n_saved), dtype=np.int32)
-        self.failures: list[ChainFailure] = []
+        self.failures: list[tuple[int, ChainFailure]] = []  # (fit, failure)
 
     @property
     def size(self) -> int:
@@ -431,11 +563,16 @@ class _Batch:
         """Drop the chain in ``row`` and record why."""
         exc = ChainAbortError(message, int(self.chains[row]), iteration, block)
         self.failures.append(
-            ChainFailure(int(self.chains[row]), type(exc).__name__, str(exc))
+            (
+                int(self.fits[row]),
+                ChainFailure(int(self.chains[row]), type(exc).__name__, str(exc)),
+            )
         )
         keep = np.delete(np.arange(self.size), row)
         self.chains = self.chains[keep]
+        self.fits = self.fits[keep]
         del self.rngs[row]
+        self.ctx.select(keep)
         self.params = self.params.select(keep)
         state = self.state
         self.state = StratumState(state.labels[keep], state.y_fill[keep], state.y_cf[keep])
@@ -571,24 +708,16 @@ def _initial_params(ctx: _ChainContext, chains, rng) -> ParameterState:
 def _initial_state(ctx: _ChainContext, params: ParameterState, rng) -> StratumState:
     k = len(rng)
     state = StratumState(
-        labels=np.tile(ctx.base_labels, (k, 1)),
-        y_fill=np.tile(ctx.y, (k, 1)),
+        labels=np.broadcast_to(ctx.base_labels, (k, ctx.n)).copy(),
+        y_fill=np.broadcast_to(ctx.y, (k, ctx.n)).copy(),
         y_cf=np.full((k, ctx.n), np.nan),
     )
-    n_ctrl = ctx.ctrl_mix.size
-    u = chain_draws(rng, "random", (k, n_ctrl + ctx.trt_mix.size))
-    for idx, alt, draws in (
-        (ctx.ctrl_mix, NEVER_TAKER, u[:, :n_ctrl]),
-        (ctx.trt_mix, ALWAYS_TAKER, u[:, n_ctrl:]),
-    ):
-        state.labels[:, idx] = np.where(draws < 0.5, COMPLIER, alt)
+    ctx.mixture.relabel(state.labels, ctx.mixture.uniforms(rng) < 0.5)
     _impute_missing(ctx, state, params, rng)
     return state
 
 
-def run_chain(
-    dataset: Dataset, config: ModelConfig, chain_indices, progress=None
-) -> ModelFit:
+def run_chain(dataset, config, chain_indices, progress=None):
     """Run the chains ``chain_indices`` together, one sweep advancing all.
 
     Chain k always draws from random stream k, exactly as it would alone, so
@@ -597,9 +726,28 @@ def run_chain(
     draws.  ``progress`` is an optional callable(chain_index, iteration,
     total_iterations, n_compliers), invoked for each chain every few hundred
     iterations.
+
+    ``dataset`` and ``config`` may instead be equal-length sequences, one
+    fit each: datasets of one size, and configs that differ only in
+    ``seed``.  The chains of every fit then advance in the same sweeps, and
+    a tuple of fits comes back, each the fit its own run would give.
     """
-    ctx = _ChainContext(dataset, config)
-    batch = _Batch(ctx, chain_indices)
+    one = isinstance(dataset, Dataset)
+    datasets, configs = ([dataset], [config]) if one else (list(dataset), list(config))
+    config = configs[0]
+    if len(configs) != len(datasets) or any(
+        replace(c, seed=config.seed) != config for c in configs
+    ):
+        raise ValidationError("batched fits need one config each, differing only in seed")
+    chain_indices = list(chain_indices)
+    fit_of_row = np.repeat(np.arange(len(datasets)), len(chain_indices))
+    ctx = _ChainContext(datasets, config, fit_of_row)
+    batch = _Batch(
+        ctx,
+        chain_indices * len(datasets),
+        [configs[f].seed for f in fit_of_row],
+        fit_of_row,
+    )
     total = config.burn_in + config.kept
     save_slot = 0
     for it in range(1, total + 1):
@@ -623,13 +771,13 @@ def run_chain(
             for k, n_c_k in zip(batch.chains, n_c):
                 progress(int(k), it, total, int(n_c_k))
 
-    chains = []
-    for row, k in enumerate(batch.chains):
+    chains = [[] for _ in configs]
+    for row, (f, k) in enumerate(zip(batch.fits, batch.chains)):
         report = {}
         if batch.proposal is not None:
             acceptance, proposal_sd = batch.proposal.report(row)
             report = dict(acceptance=acceptance, proposal_sd=proposal_sd)
-        chains.append(
+        chains[f].append(
             Chain(
                 chain_index=int(k),
                 thin=config.thin,
@@ -640,10 +788,19 @@ def run_chain(
                 **report,
             )
         )
-    failures = sorted(batch.failures, key=lambda f: f.chain_index)
-    return ModelFit(config=config, chains=tuple(chains), failures=tuple(failures))
+    failures = sorted(batch.failures, key=lambda ff: (ff[0], ff[1].chain_index))
+    fits = tuple(
+        ModelFit(c, tuple(chains[f]), tuple(x for g, x in failures if g == f))
+        for f, c in enumerate(configs)
+    )
+    return fits[0] if one else fits
 
 
-def run_model(dataset: Dataset, config: ModelConfig, progress=None) -> ModelFit:
-    """Run all chains of ``config`` as one batch and pool the survivors."""
-    return run_chain(dataset, config, range(config.n_chains), progress=progress)
+def run_model(dataset, config, progress=None):
+    """Run all chains of ``config`` as one batch and pool the survivors.
+
+    Given sequences of datasets and configs, one per fit, every fit's chains
+    run in one batch and a tuple of fits comes back (``run_chain``).
+    """
+    n_chains = (config if isinstance(dataset, Dataset) else config[0]).n_chains
+    return run_chain(dataset, config, range(n_chains), progress=progress)

@@ -7,6 +7,7 @@ the covariate slope is tied: free per group, shared across groups, or absent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,8 +90,9 @@ class OutcomePriors:
     """Hyperparameters of the outcome model.
 
     ``center`` anchors every intercept prior (conventionally the overall
-    mean of the observed outcomes, frozen at ingest).  The precision prior
-    is Gamma in the shape-rate convention.
+    mean of the observed outcomes, frozen at ingest); a batch of several
+    fits' chains holds one per chain as a (K, 1) column.  The precision
+    prior is Gamma in the shape-rate convention.
     """
 
     center: float
@@ -98,6 +100,15 @@ class OutcomePriors:
     slope_variance: float = 100.0
     precision_shape: float = 0.01
     precision_rate: float = 0.01
+
+    @functools.cached_property
+    def coefficient_prior(self) -> NormalLinearPrior:
+        """Independent normal prior of a group's (intercept, slope)."""
+        center = np.asarray(self.center, dtype=float)
+        return NormalLinearPrior(
+            np.stack([center, np.zeros_like(center)], axis=-1),
+            (self.intercept_variance, self.slope_variance),
+        )
 
 
 def group_means(x, groups, params: OutcomeParams, chain=None):
@@ -133,8 +144,7 @@ def _group_sums(y, x, bins, n_cells):
     sum xy, each of length ``n_cells``; every cell adds its patients in
     patient order."""
     bins = bins.ravel()
-    k = y.size // x.size
-    xk = np.concatenate([x] * k)
+    xk = np.concatenate([x] * (y.size // x.size), axis=None)
 
     def total(weights=None):
         return np.bincount(bins, weights=weights, minlength=n_cells)
@@ -153,8 +163,9 @@ def _draw_shared_slope(counts, sx, sxx, sy, sxy, sigma2, priors, rng):
     prior_prec = np.concatenate(
         [np.full(4, 1.0 / priors.intercept_variance), [1.0 / priors.slope_variance]]
     )
-    prior_mean = np.concatenate([np.full(4, priors.center), [0.0]])
     lead = counts.shape[:-1]
+    prior_mean = np.zeros((*np.shape(priors.center)[:-1], 5))
+    prior_mean[..., :4] = priors.center
     precision = np.zeros((*lead, 5, 5))
     rhs = np.empty((*lead, 5))
     precision.reshape(*lead, 25)[..., 0:20:6] = counts / sigma2  # group diagonal
@@ -208,10 +219,9 @@ def update_outcome_params(
     if mode == "shared":
         alpha = _draw_shared_slope(counts, sx, sxx, sy, sxy, sigma2, priors, rng)
     elif mode == "free":
-        prior = NormalLinearPrior.of(
-            (priors.center, 0.0), (priors.intercept_variance, priors.slope_variance)
+        alpha = sample_conjugate_sums_2(
+            counts, sx, sxx, sy, sxy, sigma2, priors.coefficient_prior, rng
         )
-        alpha = sample_conjugate_sums_2(counts, sx, sxx, sy, sxy, sigma2, prior, rng)
     else:  # intercept-only
         post_prec = counts / sigma2 + 1.0 / priors.intercept_variance
         post_mean = (

@@ -17,7 +17,7 @@ from scipy.special import logsumexp, ndtr, gammaln
 
 from .data import Dataset, ObservedPattern, PatientRecord
 from .distributions import RngStream, derive_seed
-from .engine import ModelConfig, run_model
+from .engine import ChainFailure, ModelConfig, run_model
 from .diagnostics import summarize_draws
 from .errors import CalibrationError, TooLargeError, ValidationError
 from .outcomes import (
@@ -524,6 +524,15 @@ class ReplicateResult:
 
 
 @dataclass(frozen=True)
+class ReplicateFailure:
+    """A replicate all of whose chains aborted, and why each did."""
+
+    rep: int
+    fit_seed: int
+    failures: tuple[ChainFailure, ...]
+
+
+@dataclass(frozen=True)
 class CellResult:
     """Replicate-averaged posterior summaries for one (corr, variant) cell."""
 
@@ -536,24 +545,39 @@ class CellResult:
     frac_excluding_zero: float
     replicates: tuple[ReplicateResult, ...]
     n_failed: int
+    failures: tuple[ReplicateFailure, ...] = ()
 
 
 def run_cell(
     mc: McConfig, cell_index: int, corr: float, variant: str, progress=None
 ) -> CellResult:
-    """All replicates of one cell; failed replicates are counted, not fatal."""
+    """All replicates of one cell; failed replicates are counted, not fatal.
+
+    The chains of every replicate advance together in one batch; replicate r
+    still draws its dataset from ``dataset_seed`` and its chains from
+    ``fit_seed``, so its fit is the one ``run_model`` gives it alone.
+    """
     dgp = replace(mc.dgp, corr_xy=corr)
+    # (dataset seed, fit seed) of each replicate
+    seeds = [
+        tuple(derive_seed(mc.master_seed, cell_index, rep, s) for s in (0, 1))
+        for rep in range(mc.reps)
+    ]
+    drawn = [
+        generate_dataset(dgp, RngStream(seed=dataset_seed, stream_id=0).generator())
+        for dataset_seed, _ in seeds
+    ]
+    fits = run_model(
+        [dataset for dataset, _ in drawn],
+        [replace(mc.fit, variant=variant, seed=fit_seed) for _, fit_seed in seeds],
+    )
     reps: list[ReplicateResult] = []
-    n_failed = 0
-    for rep in range(mc.reps):
-        dataset_seed = derive_seed(mc.master_seed, cell_index, rep, 0)
-        fit_seed = derive_seed(mc.master_seed, cell_index, rep, 1)
-        rng = RngStream(seed=dataset_seed, stream_id=0).generator()
-        dataset, truth = generate_dataset(dgp, rng)
-        fit_config = replace(mc.fit, variant=variant, seed=fit_seed)
-        fit = run_model(dataset, fit_config)
+    failed: list[ReplicateFailure] = []
+    for rep, ((dataset_seed, fit_seed), (_, truth), fit) in enumerate(
+        zip(seeds, drawn, fits)
+    ):
         if not fit.chains:
-            n_failed += 1
+            failed.append(ReplicateFailure(rep, fit_seed, fit.failures))
             continue
         summ = summarize_draws(fit.pooled_cace())
         reps.append(
@@ -586,7 +610,8 @@ def run_cell(
         hi=hi,
         frac_excluding_zero=excl,
         replicates=tuple(reps),
-        n_failed=n_failed,
+        n_failed=len(failed),
+        failures=tuple(failed),
     )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr
 
 from .distributions import (
     NormalLinearPrior,
@@ -92,49 +92,6 @@ class StratumProportions:
         if np.any(pi < 0) or np.any(np.abs(pi.sum(axis=0) - 1.0) > 1e-8):
             raise ValueError("pi must be a probability vector")
         object.__setattr__(self, "pi", pi)
-
-
-def stratum_probs_probit(x, params: ProbitStratumParams):
-    """Stratum probabilities (complier, never, always) under the linked probits.
-
-    The always-taker probability is the residual 1 - p_never - p_complier,
-    written in its cancellation-free product form Phi(eta_n) * Phi(eta_a).
-    """
-    x = np.asarray(x, dtype=float)
-    b = params.beta
-    phi_n = ndtr(b[0] + b[1] * x)  # P(not never-taker)
-    phi_a = ndtr(b[2] + b[3] * x)  # P(always | not never-taker)
-    p_never = 1.0 - phi_n
-    p_complier = phi_n * (1.0 - phi_a)
-    p_always = phi_n * phi_a
-    return p_complier, p_never, p_always
-
-
-def stratum_probs_mlogit(x, params: MlogitStratumParams):
-    """Stratum probabilities under the multinomial logit, complier reference."""
-    x = np.asarray(x, dtype=float)
-    score_n = params.gamma_n[0] + params.gamma_n[1] * x
-    score_a = params.gamma_a[0] + params.gamma_a[1] * x
-    score_c = np.zeros_like(score_n)
-    m = np.maximum(np.maximum(score_n, score_a), score_c)
-    e_c = np.exp(score_c - m)
-    e_n = np.exp(score_n - m)
-    e_a = np.exp(score_a - m)
-    total = e_c + e_n + e_a
-    return e_c / total, e_n / total, e_a / total
-
-
-def stratum_probs(x, params):
-    """Dispatch to the probability rule matching the parameter type."""
-    if isinstance(params, ProbitStratumParams):
-        return stratum_probs_probit(x, params)
-    if isinstance(params, MlogitStratumParams):
-        return stratum_probs_mlogit(x, params)
-    if isinstance(params, StratumProportions):
-        x = np.asarray(x, dtype=float)
-        ones = np.ones_like(x)
-        return params.pi[0] * ones, params.pi[1] * ones, params.pi[2] * ones
-    raise TypeError(f"unknown stratum parameter type {type(params)!r}")
 
 
 def log_stratum_probs(x, params):
@@ -230,7 +187,9 @@ def update_probit_beta(u_never, u_split, x, prior_variance, rng):
 
     # (n, sum x, sum x^2, sum u, sum xu) by chain and equation (never, split)
     stats = np.empty((5, counts.size, 2))
-    stats[:3, :, 0] = np.array([x.size, x.sum(), (x * x).sum()])[:, None]
+    stats[0, :, 0] = x.shape[-1]
+    stats[1, :, 0] = x.sum(axis=-1)
+    stats[2, :, 0] = (x * x).sum(axis=-1)
     stats[3, :, 0] = u_never.sum(axis=-1)
     stats[4, :, 0] = (x * u_never).sum(axis=-1)
     stats[0, :, 1] = counts

@@ -2,6 +2,8 @@
 
 Criterion 1 runs a 20-replicate smoke study by default; set
 CACEGIBBS_ACCEPTANCE_FULL=1 to run the full 50 replicates per cell.
+Criteria 1 and 6 are marked ``slow``; ``pytest -m "not slow"`` leaves them
+out for a quick loop.
 """
 
 import json
@@ -9,6 +11,7 @@ import math
 import os
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from cacegibbs.cli import main
@@ -54,6 +57,7 @@ def _passed(number, detail):
     print(f"criterion {number}: PASS ({detail})")
 
 
+@pytest.mark.slow
 def test_criterion_1_confounding_bias_pattern():
     """Ignoring the covariate biases the CACE more as confounding grows."""
     mc = McConfig(reps=MC_REPS)
@@ -220,6 +224,7 @@ def test_criterion_5_convergence_diagnostic_calibration():
     _passed(5, f"{hits}/100 calibrated trials, separated chains flagged")
 
 
+@pytest.mark.slow
 def test_criterion_6_schedule_and_reproducibility(tmp_path):
     """Default schedule gives exactly 1500 pooled draws, byte-stable."""
     dataset, _ = generate_dataset(DgpConfig(n=40), RngStream(seed=61).generator())

@@ -6,7 +6,7 @@ import pytest
 
 from cacegibbs.cli import main
 from cacegibbs.data import Dataset, PatientRecord, write_dataset_csv
-from cacegibbs.distributions import RngStream
+from cacegibbs.distributions import RngStream, derive_seed
 from cacegibbs.runio import file_digest
 from cacegibbs.simulation import DgpConfig, generate_dataset
 
@@ -364,8 +364,38 @@ def test_simulate_tiny_grid(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert manifest["cells_failed"] == 0
+    assert manifest["replicate_failures"] == []
     assert manifest["seeds"] == {"master_seed": 3}
     assert "dataset" not in manifest
+
+
+def test_simulate_records_why_replicates_failed(tmp_path):
+    """A degenerate covariate with flat outcome priors aborts every chain:
+    the manifest says why, and the tables only count the failure."""
+    cfg = {
+        "reps": 1,
+        "corr_grid": [0.0],
+        "variants": ["Astar"],
+        "master_seed": 5,
+        "dgp": {"n": 30, "x_law": {"mean": 12.0, "sd": 0.0}},
+        "fit": {"burn_in": 20, "kept": 20, "thin": 2, "n_chains": 2,
+                "priors": {"intercept_variance": 1e300, "slope_variance": 1e300}},
+    }
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "sim"
+    code = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 3
+    row = (out / "mc_results.csv").read_text().splitlines()[1].split(",")
+    assert row[6:] == ["0", "1"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["cells_failed"] == 1
+    (entry,) = manifest["replicate_failures"]
+    assert entry["corr_xy"] == 0.0 and entry["variant"] == "Astar"
+    assert entry["rep"] == 0
+    assert entry["fit_seed"] == derive_seed(5, 0, 0, 1)
+    assert [f["chain_index"] for f in entry["failures"]] == [0, 1]
+    assert all(f["error_type"] == "ChainAbortError" for f in entry["failures"])
 
 
 def test_simulate_seed_and_reps_overrides(tmp_path):

@@ -27,7 +27,12 @@ from cacegibbs.engine import (
 )
 from cacegibbs.errors import SingularPosteriorError, ValidationError
 from cacegibbs.outcomes import OutcomeParams
-from cacegibbs.simulation import DgpConfig, generate_dataset
+from cacegibbs.simulation import (
+    DgpConfig,
+    XLaw,
+    generate_dataset,
+    generate_matched_fixture,
+)
 from cacegibbs.strata import COMPLIER, ProbitStratumParams, StratumProportions
 
 
@@ -375,6 +380,64 @@ def test_parameter_vector_matches_names():
         config = ModelConfig(variant=variant, burn_in=10, kept=10, thin=5, n_chains=1)
         chain = run_chain(ds, config, [0]).chains[0]
         assert chain.params.shape[1] == len(default_param_names(variant))
+
+
+@pytest.mark.parametrize("variant", ["A", "Astar", "B", "Cstar", "D"])
+def test_batch_of_fits_equals_their_lone_fits(variant):
+    """Two fits of datasets with different mixture and missing-outcome
+    counts, run in one batch: each fit's draws are those of its own run."""
+    records = generate_matched_fixture(RngStream(seed=11)).records
+    datasets = [Dataset(records[:90]), Dataset(records[40:130])]
+    assert len({int(ds.y_missing.sum()) for ds in datasets}) == 2
+    assert len({int(np.isin(ds.pattern, (0, 3)).sum()) for ds in datasets}) == 2
+    configs = [
+        ModelConfig(variant=variant, burn_in=40, kept=40, thin=2, n_chains=2, seed=seed)
+        for seed in (3, 4)
+    ]
+    fits = run_model(datasets, configs)
+    assert len(fits) == 2
+    for ds, config, fit in zip(datasets, configs, fits):
+        lone = run_model(ds, config)
+        assert fit.config == config and not fit.failures
+        assert len(fit.chains) == 2
+        for got, want in zip(fit.chains, lone.chains):
+            _assert_same_chain(got, want)
+            assert got.acceptance == want.acceptance
+
+
+def test_fit_whose_chains_all_abort_leaves_the_batch_others_unchanged():
+    """A degenerate covariate with flat outcome priors makes the shared-slope
+    update singular for that dataset's chains only."""
+    flat = PriorConfig(intercept_variance=1e300, slope_variance=1e300)
+    degenerate, _ = generate_dataset(
+        DgpConfig(n=100, x_law=XLaw(mean=12.0, sd=0.0)), RngStream(seed=1)
+    )
+    spread, _ = generate_dataset(DgpConfig(n=100), RngStream(seed=2))
+    datasets = [spread, degenerate, spread]
+    configs = [
+        ModelConfig(
+            variant="Astar", burn_in=20, kept=20, thin=2, n_chains=2, seed=seed, priors=flat
+        )
+        for seed in (3, 4, 5)
+    ]
+    fits = run_model(datasets, configs)
+    assert not fits[1].chains
+    assert [f.chain_index for f in fits[1].failures] == [0, 1]
+    for ds, config, fit in zip(datasets, configs, fits):
+        lone = run_model(ds, config)
+        assert fit.failures == lone.failures
+        assert len(fit.chains) == len(lone.chains)
+        for got, want in zip(fit.chains, lone.chains):
+            _assert_same_chain(got, want)
+
+
+def test_batched_fits_must_share_all_but_the_seed():
+    ds = _small_dataset(seed=3)
+    configs = [ModelConfig(variant="D", **FAST), ModelConfig(variant="B", **FAST)]
+    with pytest.raises(ValidationError):
+        run_model([ds, ds], configs)
+    with pytest.raises(ValidationError):
+        run_model([ds, _small_dataset(seed=3, n=61)], [configs[0]] * 2)
 
 
 def test_too_few_observed_outcomes_rejected():

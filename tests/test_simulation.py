@@ -9,7 +9,8 @@ from scipy.special import ndtr
 
 from cacegibbs.data import Dataset, PatientRecord
 from cacegibbs.diagnostics import complier_probability_estimates
-from cacegibbs.distributions import RngStream
+import cacegibbs.simulation as simulation
+from cacegibbs.distributions import RngStream, derive_seed
 from cacegibbs.engine import (
     ModelConfig,
     PriorConfig,
@@ -28,6 +29,7 @@ from cacegibbs.simulation import (
     law_moments,
     law_support,
     outcome_slope_for_corr,
+    run_cell,
     run_monte_carlo,
 )
 from cacegibbs.strata import ALWAYS_TAKER, COMPLIER, NEVER_TAKER
@@ -332,6 +334,49 @@ def test_monte_carlo_counts_failed_replicates():
     assert cell.n_failed == 1 and cell.reps_done == 0
     assert math.isnan(cell.mean_cace)
     assert result.any_failures
+    # the cell keeps why the replicate failed
+    (failed,) = cell.failures
+    assert failed.rep == 0
+    assert failed.fit_seed == derive_seed(5, 0, 0, 1)
+    assert [f.chain_index for f in failed.failures] == [0, 1]
+    for f in failed.failures:
+        assert f.error_type == "ChainAbortError"
+        assert "outcome update" in f.message
+
+
+@pytest.mark.parametrize("variant", ["B", "Cstar", "D"])
+def test_batched_cell_replicates_equal_their_lone_fits(monkeypatch, variant):
+    """A cell fits all replicates in one batch; each replicate's draws are
+    those of its own fit, from its recorded dataset and fit seeds."""
+    batched = []
+
+    def keep_fits(*args, **kwargs):
+        fits = run_model(*args, **kwargs)
+        batched.extend(fits)
+        return fits
+
+    monkeypatch.setattr(simulation, "run_model", keep_fits)
+    mc = dataclasses.replace(
+        _tiny_mc(variants=(variant,), corr_grid=(0.3,)), reps=3
+    )
+    calls = []
+    cell = run_cell(mc, 1, 0.3, variant, progress=lambda *args: calls.append(args))
+    assert [r.rep for r in cell.replicates] == [0, 1, 2]
+    assert calls == [(1, 0.3, variant, done, 3) for done in (1, 2, 3)]
+    assert len(batched) == 3
+    for r, fit in zip(cell.replicates, batched):
+        dataset, _ = generate_dataset(
+            DgpConfig(n=40, corr_xy=0.3), RngStream(seed=r.dataset_seed)
+        )
+        config = dataclasses.replace(mc.fit, variant=variant, seed=r.fit_seed)
+        lone = run_model(dataset, config)
+        assert fit.config == config
+        assert len(fit.chains) == len(lone.chains) == 2
+        for got, want in zip(fit.chains, lone.chains):
+            assert np.array_equal(got.params, want.params)
+            assert np.array_equal(got.cace, want.cace, equal_nan=True)
+            assert np.array_equal(got.n_compliers, want.n_compliers)
+            assert got.acceptance == want.acceptance
 
 
 def test_mc_config_validation():

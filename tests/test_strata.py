@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import chisquare, ks_2samp
 
 from cacegibbs.distributions import (
@@ -20,9 +21,6 @@ from cacegibbs.strata import (
     log_stratum_probs,
     mlogit_log_likelihood,
     sample_latent_utilities,
-    stratum_probs,
-    stratum_probs_mlogit,
-    stratum_probs_probit,
     update_mlogit_gamma,
     update_probit_beta,
     update_proportions,
@@ -31,30 +29,82 @@ from cacegibbs.strata import (
 PHI_1 = 0.8413447460685429  # standard normal CDF at 1
 
 
+# Linear-space stratum probabilities: an oracle for the log-space kernel
+# ``log_stratum_probs`` that the sampler and the diagnostics use.
+
+
+def stratum_probs_probit(x, params: ProbitStratumParams):
+    """Stratum probabilities (complier, never, always) under the linked probits.
+
+    The always-taker probability is the residual 1 - p_never - p_complier,
+    written in its cancellation-free product form Phi(eta_n) * Phi(eta_a).
+    """
+    x = np.asarray(x, dtype=float)
+    b = params.beta
+    phi_n = ndtr(b[0] + b[1] * x)  # P(not never-taker)
+    phi_a = ndtr(b[2] + b[3] * x)  # P(always | not never-taker)
+    p_never = 1.0 - phi_n
+    p_complier = phi_n * (1.0 - phi_a)
+    p_always = phi_n * phi_a
+    return p_complier, p_never, p_always
+
+
+def stratum_probs_mlogit(x, params: MlogitStratumParams):
+    """Stratum probabilities under the multinomial logit, complier reference."""
+    x = np.asarray(x, dtype=float)
+    score_n = params.gamma_n[0] + params.gamma_n[1] * x
+    score_a = params.gamma_a[0] + params.gamma_a[1] * x
+    score_c = np.zeros_like(score_n)
+    m = np.maximum(np.maximum(score_n, score_a), score_c)
+    e_c = np.exp(score_c - m)
+    e_n = np.exp(score_n - m)
+    e_a = np.exp(score_a - m)
+    total = e_c + e_n + e_a
+    return e_c / total, e_n / total, e_a / total
+
+
+def stratum_probs(x, params):
+    """Dispatch to the probability rule matching the parameter type."""
+    if isinstance(params, ProbitStratumParams):
+        return stratum_probs_probit(x, params)
+    if isinstance(params, MlogitStratumParams):
+        return stratum_probs_mlogit(x, params)
+    if isinstance(params, StratumProportions):
+        x = np.asarray(x, dtype=float)
+        ones = np.ones_like(x)
+        return params.pi[0] * ones, params.pi[1] * ones, params.pi[2] * ones
+    raise TypeError(f"unknown stratum parameter type {type(params)!r}")
+
+
+def _oracle_and_kernel(x, params):
+    """The oracle's probabilities and the log-space kernel's, exponentiated."""
+    return stratum_probs(x, params), np.exp(log_stratum_probs(x, params))
+
+
 def test_probit_probs_frozen_point():
     params = ProbitStratumParams(np.array([1.0, 0.0, 1.0, 0.0]))
-    p_c, p_n, p_a = stratum_probs_probit(np.array([3.7]), params)
-    assert p_n[0] == pytest.approx(1.0 - PHI_1, abs=1e-12)
-    assert p_c[0] == pytest.approx(PHI_1 * (1.0 - PHI_1), abs=1e-12)
-    assert p_a[0] == pytest.approx(PHI_1 * PHI_1, abs=1e-12)
-    assert p_c[0] + p_n[0] + p_a[0] == pytest.approx(1.0, abs=1e-12)
+    for p_c, p_n, p_a in _oracle_and_kernel(np.array([3.7]), params):
+        assert p_n[0] == pytest.approx(1.0 - PHI_1, abs=1e-12)
+        assert p_c[0] == pytest.approx(PHI_1 * (1.0 - PHI_1), abs=1e-12)
+        assert p_a[0] == pytest.approx(PHI_1 * PHI_1, abs=1e-12)
+        assert p_c[0] + p_n[0] + p_a[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_probit_probs_slope_direction():
     # positive slopes: high x pushes mass from never toward always
     params = ProbitStratumParams(np.array([-3.8, 0.3, -4.9, 0.3]))
     x = np.array([5.0, 20.0])
-    p_c, p_n, p_a = stratum_probs_probit(x, params)
-    assert p_n[0] > p_n[1]
-    assert p_a[0] < p_a[1]
+    for p_c, p_n, p_a in _oracle_and_kernel(x, params):
+        assert p_n[0] > p_n[1]
+        assert p_a[0] < p_a[1]
 
 
 def test_mlogit_probs_frozen_softmax():
     params = MlogitStratumParams(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
-    p_c, p_n, p_a = stratum_probs_mlogit(np.array([0.0]), params)
-    assert p_c[0] == pytest.approx(0.24472847105479767, abs=1e-12)
-    assert p_n[0] == pytest.approx(0.6652409557748219, abs=1e-12)
-    assert p_a[0] == pytest.approx(0.09003057317038046, abs=1e-12)
+    for p_c, p_n, p_a in _oracle_and_kernel(np.array([0.0]), params):
+        assert p_c[0] == pytest.approx(0.24472847105479767, abs=1e-12)
+        assert p_n[0] == pytest.approx(0.6652409557748219, abs=1e-12)
+        assert p_a[0] == pytest.approx(0.09003057317038046, abs=1e-12)
 
 
 def test_proportions_broadcast():
@@ -63,6 +113,8 @@ def test_proportions_broadcast():
     p_c, p_n, p_a = stratum_probs(x, params)
     assert np.all(p_c == 0.2) and np.all(p_n == 0.5) and np.all(p_a == 0.3)
     assert p_c.shape == x.shape
+    for logged, p in zip(log_stratum_probs(x, params), (0.2, 0.5, 0.3)):
+        assert logged.shape == x.shape and np.allclose(np.exp(logged), p, atol=1e-15)
 
 
 def test_proportions_validation():
