@@ -231,7 +231,7 @@ def cmd_simulate(args) -> int:
         seeds={"master_seed": mc.master_seed},
         outputs=outputs,
         extra={
-            "cells_failed": sum(c.n_failed for c in result.cells),
+            "cells_failed": sum(c.n_failed > 0 for c in result.cells),
             # why each dropped replicate's chains aborted; the CSVs only count them
             "replicate_failures": [
                 {"corr_xy": c.corr_xy, "variant": c.variant, **dataclasses.asdict(f)}

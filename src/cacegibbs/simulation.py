@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import logsumexp, ndtr, gammaln
 
-from .data import Dataset, ObservedPattern, PatientRecord
+from .data import Dataset, ObservedPattern
 from .distributions import RngStream, derive_seed
 from .engine import ChainFailure, ModelConfig, run_model
 from .diagnostics import summarize_draws
@@ -121,6 +120,9 @@ class DgpConfig:
 
 def calibrate_stratum_base(cfg: DgpConfig) -> tuple[float, float]:
     """Solve for the two probit intercepts hitting the target proportions."""
+    # imported here: scipy.optimize is a third of the package's import time
+    from scipy.optimize import brentq
+
     if not (
         0 < cfg.target_never < 1
         and 0 < cfg.target_always < 1
@@ -228,16 +230,6 @@ def generate_dataset(cfg: DgpConfig, rng) -> tuple[Dataset, DgpTruth]:
         )
     y_obs = np.where(z == 1, y_treated, y_control)
 
-    records = [
-        PatientRecord(
-            id=f"s{i:05d}",
-            z=int(z[i]),
-            d_obs=int(d[i]),
-            y_obs=float(y_obs[i]),
-            x=float(x[i]),
-        )
-        for i in range(cfg.n)
-    ]
     realized = float(np.mean(y_treated[compl] - y_control[compl])) if n_c else math.nan
     truth = DgpTruth(
         labels=labels,
@@ -249,7 +241,8 @@ def generate_dataset(cfg: DgpConfig, rng) -> tuple[Dataset, DgpTruth]:
         true_cace=cfg.true_cace,
         realized_cace=realized,
     )
-    return Dataset(records), truth
+    ids = [f"s{i:05d}" for i in range(cfg.n)]
+    return Dataset.from_columns(ids, z, d, y_obs, x), truth
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +271,6 @@ ORAL_SURGERY_MARGINS = (
     GroupMargin(ObservedPattern.KNOWN_NEVER_TAKER, 40, 12.2, 3.0, 41.7, 9.3, 18),
 )
 
-_PATTERN_CELL = {
-    ObservedPattern.MIXTURE_CONTROL_ARM: (0, 0),
-    ObservedPattern.KNOWN_ALWAYS_TAKER: (0, 1),
-    ObservedPattern.KNOWN_NEVER_TAKER: (1, 0),
-    ObservedPattern.MIXTURE_TREATED_ARM: (1, 1),
-}
-
 
 def _standardize_to(values, mean, sd):
     v = np.asarray(values, dtype=float)
@@ -307,28 +293,21 @@ def generate_matched_fixture(rng, margins=ORAL_SURGERY_MARGINS) -> Dataset:
     """
     if isinstance(rng, RngStream):
         rng = rng.generator()
-    records = []
+    columns = []
     for gm in margins:
-        z, d = _PATTERN_CELL[gm.pattern]
         x = _standardize_to(rng.standard_normal(gm.n), gm.x_mean, gm.x_sd)
         n_obs = gm.n - gm.n_missing_y
         if n_obs < 0:
             raise ValidationError("missing count exceeds group size")
         y_obs_vals = _standardize_to(rng.standard_normal(n_obs), gm.y_mean, gm.y_sd)
+        y = np.full(gm.n, np.nan)
         missing_slots = np.zeros(gm.n, dtype=bool)
         missing_slots[rng.permutation(gm.n)[: gm.n_missing_y]] = True
-        y_iter = iter(y_obs_vals)
-        for i in range(gm.n):
-            records.append(
-                PatientRecord(
-                    id=f"{gm.pattern.name.lower()}_{i:03d}",
-                    z=z,
-                    d_obs=d,
-                    y_obs=None if missing_slots[i] else float(next(y_iter)),
-                    x=float(x[i]),
-                )
-            )
-    return Dataset(records)
+        y[~missing_slots] = y_obs_vals
+        z, d = divmod(gm.pattern.value, 2)
+        ids = [f"{gm.pattern.name.lower()}_{i:03d}" for i in range(gm.n)]
+        columns.append((ids, np.full(gm.n, z), np.full(gm.n, d), y, x))
+    return Dataset.from_columns(*map(np.concatenate, zip(*columns)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """End-to-end command-line checks: fit, diagnose, simulate, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -369,20 +373,23 @@ def test_simulate_tiny_grid(tmp_path):
     assert "dataset" not in manifest
 
 
+# a degenerate covariate with flat outcome priors aborts every chain
+DEGENERATE_MC = {
+    "reps": 1,
+    "corr_grid": [0.0],
+    "variants": ["Astar"],
+    "master_seed": 5,
+    "dgp": {"n": 30, "x_law": {"mean": 12.0, "sd": 0.0}},
+    "fit": {"burn_in": 20, "kept": 20, "thin": 2, "n_chains": 2,
+            "priors": {"intercept_variance": 1e300, "slope_variance": 1e300}},
+}
+
+
 def test_simulate_records_why_replicates_failed(tmp_path):
-    """A degenerate covariate with flat outcome priors aborts every chain:
-    the manifest says why, and the tables only count the failure."""
-    cfg = {
-        "reps": 1,
-        "corr_grid": [0.0],
-        "variants": ["Astar"],
-        "master_seed": 5,
-        "dgp": {"n": 30, "x_law": {"mean": 12.0, "sd": 0.0}},
-        "fit": {"burn_in": 20, "kept": 20, "thin": 2, "n_chains": 2,
-                "priors": {"intercept_variance": 1e300, "slope_variance": 1e300}},
-    }
+    """The manifest says why every chain aborted; the tables only count the
+    failure."""
     cfg_path = tmp_path / "mc.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(DEGENERATE_MC))
     out = tmp_path / "sim"
     code = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
     assert code == 3
@@ -427,3 +434,33 @@ def test_unknown_variant_flag_rejected(dataset_csv, tmp_path):
             ["fit", "--dataset", str(dataset_csv), "--variant", "Q",
              "--out", str(tmp_path / "o")]
         )
+
+
+def test_cells_failed_counts_cells_not_replicates(tmp_path):
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(json.dumps({**DEGENERATE_MC, "reps": 2}))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 3
+    row = (out / "mc_results.csv").read_text().splitlines()[1].split(",")
+    assert row[6:] == ["0", "2"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["cells_failed"] == 1
+    assert [e["rep"] for e in manifest["replicate_failures"]] == [0, 1]
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """The root finder is imported only when a simulation calibrates, which
+    keeps it out of every command's start-up time."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, cacegibbs, cacegibbs.cli; "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
