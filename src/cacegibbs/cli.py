@@ -271,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="accepted but unused: chains run one after another in one process",
+        help="accepted but unused: all chains of a fit advance together, "
+        "one Gibbs sweep updating every chain, in one process",
     )
     fit.set_defaults(func=cmd_fit)
 

@@ -4,11 +4,10 @@ Everything here draws from ``numpy.random.Generator``s owned by the caller,
 so the same seed always reproduces the same sequence of values.
 
 A sweep advances several chains at once, each with its own generator.  The
-``rng`` argument is either one generator per chain, with the chain as the
-leading axis of every per-chain array, or a lone generator, which is one
-chain with no chain axis.  Chain k takes its draws from its own generator,
-in the order and in the calls it would make running alone, so its values do
-not depend on which other chains share the batch.
+``rng`` argument of the sweep's samplers is a list of generators, one per
+chain, and the chain is the leading axis of every per-chain array.  Chain k takes its draws from its
+own generator, in the order and in the calls it would make running alone, so
+its values do not depend on which other chains share the batch.
 """
 
 from __future__ import annotations
@@ -49,13 +48,6 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def generators(rng) -> list:
-    """The per-chain generators of ``rng``: a lone generator is one chain."""
-    if type(rng) is list:
-        return rng
-    return [rng] if isinstance(rng, np.random.Generator) else list(rng)
-
-
 def ragged_draws(rng, method, counts, *args):
     """Draws of ``Generator.<method>``, ``counts[k]`` of them from chain k.
 
@@ -67,7 +59,7 @@ def ragged_draws(rng, method, counts, *args):
     """
     out = np.empty(sum(counts))
     start = 0
-    for gen, c in zip(generators(rng), counts):
+    for gen, c in zip(rng, counts):
         if c:
             getattr(gen, method)(*args, out=out[start : start + c])
             start += c
@@ -77,9 +69,9 @@ def ragged_draws(rng, method, counts, *args):
 def chain_draws(rng, method, shape, *args):
     """Draws of ``Generator.<method>`` filling ``shape``, its leading axis the chains.
 
-    Chain k fills its row in one call; a lone generator fills all of ``shape``.
+    Chain k fills its row in one call.
     """
-    k = len(generators(rng))
+    k = len(rng)
     return ragged_draws(rng, method, [math.prod(shape) // k] * k, *args).reshape(shape)
 
 
@@ -167,8 +159,7 @@ def truncated_normal_draws(means, bound, above_mask, rng, sizes=None):
     """
     means = np.asarray(means, dtype=float)
     if sizes is None:
-        k = len(generators(rng))
-        sizes = np.full(k, means.size // k)
+        sizes = np.full(len(rng), means.size // len(rng))
     # flip 'below' entries into 'above' form
     sign = np.where(above_mask, 1.0, -1.0)
     a = np.subtract(bound, means)
@@ -196,10 +187,8 @@ class NormalLinearPrior:
     variance: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, float)))
-        object.__setattr__(
-            self, "variance", np.atleast_1d(np.asarray(self.variance, float))
-        )
+        object.__setattr__(self, "mean", np.asarray(self.mean, float))
+        object.__setattr__(self, "variance", np.asarray(self.variance, float))
         if self.mean.shape[-1:] != self.variance.shape:
             raise ValueError("prior means and variances must cover one coefficient set")
         if not np.all(self.variance > 0):
@@ -239,9 +228,12 @@ def conjugate_linear_posterior(y, design, noise_variance, prior):
 
 
 def sample_conjugate_linear(y, design, noise_variance, prior, rng):
-    """Draw coefficients from the conjugate normal linear posterior.
+    """Draw coefficients from the conjugate normal linear posterior, with
+    the one generator ``rng``.
 
-    With zero data rows the draw comes from the prior.
+    With zero data rows the draw comes from the prior.  The sweep draws
+    through ``sample_conjugate_sums_2``; this design-matrix form is its
+    reference.
     """
     design = np.asarray(design, dtype=float)
     if design.shape[0] == 0:
@@ -281,7 +273,7 @@ def sample_conjugate_sums_2(
     if not np.all(ok | (n == 0)):
         shape = np.broadcast_shapes(*map(np.shape, (n, sx, sxx, sy, sxy, noise_variance)))
         bad = np.broadcast_to(~ok & (n != 0), shape)
-        row = int(np.argmax(bad.reshape(len(generators(rng)), -1).any(axis=1)))
+        row = int(np.argmax(bad.reshape(len(rng), -1).any(axis=1)))
         raise SingularPosteriorError("2x2 posterior precision is ill conditioned", row)
     r1 = sy / noise_variance + pm[..., 0] / pv[0]
     r2 = sxy / noise_variance + pm[..., 1] / pv[1]
@@ -331,5 +323,5 @@ def sample_dirichlet(counts, concentration, rng):
         raise ValueError("counts must be >= 0 and concentration > 0")
     alpha = concentration + counts
     rows = alpha.reshape(-1, alpha.shape[-1])
-    draws = [gen.dirichlet(a) for gen, a in zip(generators(rng), rows)]
+    draws = [gen.dirichlet(a) for gen, a in zip(rng, rows)]
     return np.array(draws).reshape(alpha.shape)

@@ -6,9 +6,11 @@ counterfactual outcomes, a stratum-parameter update, an outcome-parameter
 update, and the causal-effect computation over currently labeled compliers.
 The model variants are listed in ``variants``.
 
-One sweep advances every chain of a fit: the latent state holds a (K, n)
-row per chain and every parameter a trailing (K, 1) chain axis, while chain
-k takes its random draws from stream k in exactly the order it would alone.
+One sweep advances a batch of K chains, of one fit or of several fits of
+same-size datasets.  Every per-patient array, data and latent state alike,
+holds a (K, n) row per chain, and every parameter a trailing (K, 1) chain
+axis; chain k takes its random draws from its own stream in exactly the
+order it would alone.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import Dataset, ObservedPattern
-from .distributions import RngStream, generators, ragged_draws, sample_dirichlet
+from .distributions import RngStream, ragged_draws, sample_dirichlet
 from .errors import ChainAbortError, SingularPosteriorError, ValidationError
 from .outcomes import (
     GROUP_ALWAYS,
@@ -103,8 +105,7 @@ class ModelConfig:
 class ParameterState:
     """Current stratum and outcome parameters of a batch of chains.
 
-    Every coefficient carries the batch's trailing (K, 1) chain axes; a lone
-    chain's have none.
+    Every coefficient carries the batch's trailing (K, 1) chain axes.
     """
 
     stratum: object
@@ -308,43 +309,41 @@ def _initial_variance(dataset: Dataset) -> float:
     return variance
 
 
-def _gather(values, rows, cols):
-    """Entries (rows[i], cols[i]) of per-row ``values``; (n,) values are
-    every row's."""
-    return values[cols] if values.ndim == 1 else values[rows, cols]
+def _rows(values, fit_of_row):
+    """(R, ...) rows, row r holding ``values[fit_of_row[r]]``.  When every
+    row holds the same entry they share its storage as a read-only view."""
+    if np.unique(fit_of_row).size > 1:
+        return np.asarray(values)[fit_of_row]
+    one = np.asarray(values[fit_of_row[0]])
+    return np.broadcast_to(one, (len(fit_of_row), *one.shape))
 
 
 _MIXTURE_ARMS = (ObservedPattern.MIXTURE_CONTROL_ARM, ObservedPattern.MIXTURE_TREATED_ARM)
 
 
 class _MixtureSlots:
-    """Each row's mixture patients in slots: the control arm's in the first
-    ``width_ctrl`` columns, the treated arm's in the rest.
+    """Each row's mixture patients in (R, width) slots: the control arm's in
+    the first ``width_ctrl`` columns, the treated arm's in the rest.
 
     Row r's patients of an arm fill the first slots of the arm's block, in
     patient order, and take the row's uniforms in that order, control block
-    first.  One dataset's slots are (width,) arrays that broadcast over the
-    batch.  Several datasets' are (R, width), and a row with fewer patients
-    than a block pads it: padding reads patient 0 and is never written.
+    first.  A row with fewer patients than a block pads it: padding reads
+    patient 0 and is never written.  Slots index the batch's (R, n) arrays
+    through their flat, row-major entries.
     """
 
-    def __init__(self, cols, x, width_ctrl, counts, valid=None):
+    def __init__(self, cols, x, valid, width_ctrl, n):
         self.cols = cols  # patient of each slot
         self.x = x
-        self.width_ctrl = width_ctrl
-        self.counts = counts  # (1 or R, 2) patients of each arm
         self.valid = valid  # False at padding
-        width = cols.shape[-1]
-        self.other = np.where(np.arange(width) < width_ctrl, NEVER_TAKER, ALWAYS_TAKER)
-        self.drawn = counts.sum(axis=1)  # uniforms of each row
-        self.rows = slice(None)  # with ``cols``, indexes the slots of (R, n) arrays
-        if valid is not None:
-            self.rows = np.arange(len(cols))[:, None]
-            j = np.arange(width)
-            local = np.where(j < width_ctrl, j, counts[:, :1] + j - width_ctrl)
-            first = np.cumsum(self.drawn) - self.drawn
-            self.draw = np.where(valid, first[:, None] + local, 0)  # slot's uniform
-            self.written = np.nonzero(valid)[0], cols[valid]
+        self.width_ctrl = width_ctrl
+        self.n = n
+        self.other = np.where(
+            np.arange(cols.shape[1]) < width_ctrl, NEVER_TAKER, ALWAYS_TAKER
+        ).astype(np.int8)
+        self.drawn = valid.sum(axis=1)  # uniforms of each row
+        self.flat = np.arange(len(cols))[:, None] * n + cols
+        self.written = self.flat[valid]
 
     @classmethod
     def of(cls, patterns, x, fit_of_row) -> _MixtureSlots:
@@ -360,18 +359,13 @@ class _MixtureSlots:
                 cols[row, start : start + len(idx)] = idx
                 valid[row, start : start + len(idx)] = True
         x = np.take_along_axis(np.stack(x), cols, -1)
-        if len(arms) == 1:
-            return cls(cols[0], x[0], width_ctrl, counts)
-        return cls(cols, x, width_ctrl, counts, valid).select(fit_of_row)
+        rows = (_rows(v, fit_of_row) for v in (cols, x, valid))
+        return cls(*rows, width_ctrl, patterns[0].size)
 
     def select(self, keep) -> _MixtureSlots:
         """The slots of the rows ``keep``."""
         return _MixtureSlots(
-            self.cols[keep],
-            self.x[keep],
-            self.width_ctrl,
-            self.counts[keep],
-            self.valid[keep],
+            self.cols[keep], self.x[keep], self.valid[keep], self.width_ctrl, self.n
         )
 
     @property
@@ -380,80 +374,66 @@ class _MixtureSlots:
         return (0, slice(0, self.width_ctrl)), (1, slice(self.width_ctrl, None))
 
     def uniforms(self, rng) -> np.ndarray:
-        """One uniform per slot, each row's drawn in one call."""
-        k = len(generators(rng))
-        u = ragged_draws(rng, "random", np.repeat(self.drawn, k // len(self.drawn)))
-        return u.reshape(k, -1) if self.valid is None else u[self.draw]
+        """One uniform per slot, each row's drawn in one call; padding reads 0.
+
+        The valid slots, row after row, are in draw order."""
+        u = np.zeros(self.valid.shape)
+        u[self.valid] = ragged_draws(rng, "random", self.drawn)
+        return u
 
     def relabel(self, labels, is_complier):
         """Each slot's patient becomes a complier where ``is_complier`` holds,
         else the other stratum its arm allows."""
-        new = np.where(is_complier, COMPLIER, self.other)
-        if self.valid is None:
-            labels[:, self.cols] = new
-        else:
-            labels[self.written] = new[self.valid]
+        new = np.where(is_complier, np.int8(COMPLIER), self.other)
+        labels.put(self.written, new[self.valid])
 
 
 class _ChainContext:
-    """The data every sweep reads, for each row of a batch.
+    """The data every sweep reads, a (R, n) row per row of the batch.
 
-    The rows of one fit share its dataset, held once as (n,) arrays that
-    broadcast over them.  Several fits' chains in one batch (datasets of
-    one size, dataset ``fit_of_row[r]`` in row r) hold (R, n) arrays
-    instead, and (R, 1) columns for the outcome-prior centre and the
-    starting variance.  ``select`` follows the batch when chains leave it.
+    Row r holds dataset ``fit_of_row[r]`` of ``datasets`` (all of one size),
+    and (R, 1) columns hold the outcome-prior centre and the starting
+    variance.  ``select`` follows the batch when chains leave it.
     """
 
-    def __init__(self, dataset, config: ModelConfig, fit_of_row=None):
-        datasets = [dataset] if isinstance(dataset, Dataset) else list(dataset)
+    def __init__(self, datasets, config: ModelConfig, fit_of_row):
         self.config = config
         self.variant = config.variant
         self.spec = VARIANT_TABLE[config.variant]
         self.n = datasets[0].n
         if any(d.n != self.n for d in datasets):
             raise ValidationError("fits batched together need datasets of one size")
-
-        def per_row(values, column=False):
-            if len(datasets) == 1:
-                return values[0]
-            stacked = np.array(values)[fit_of_row]
-            return stacked[:, None] if column else stacked
-
+        fit_of_row = np.asarray(fit_of_row)
         x = [d.x - covariate_center(d) for d in datasets]
-        self.x = per_row(x)
-        self.z = per_row([d.z.astype(np.int8) for d in datasets])
-        self.y = per_row([d.y for d in datasets])
-        self.y_missing = per_row([d.y_missing for d in datasets])
-        self.base_labels = per_row([_base_labels(d.pattern) for d in datasets])
+        self.x = _rows(x, fit_of_row)
+        self.z = _rows([d.z.astype(np.int8) for d in datasets], fit_of_row)
+        self.y = _rows([d.y for d in datasets], fit_of_row)
+        self.y_missing = _rows([d.y_missing for d in datasets], fit_of_row)
+        self.base_labels = _rows([_base_labels(d.pattern) for d in datasets], fit_of_row)
         priors = [resolve_outcome_priors(d, config.priors) for d in datasets]
         self.outcome_priors = replace(
-            priors[0], center=per_row([p.center for p in priors], column=True)
+            priors[0], center=_rows([[p.center] for p in priors], fit_of_row)
         )
-        self.sigma2_init = per_row([_initial_variance(d) for d in datasets], column=True)
+        self.sigma2_init = _rows([[_initial_variance(d)] for d in datasets], fit_of_row)
         self.mixture = _MixtureSlots.of([d.pattern for d in datasets], x, fit_of_row)
-        self._missing = {}
+        self._missing = None
 
-    def missing(self, k: int):
-        """Rows, patients, x and z of the missing outcomes of ``k`` rows,
-        row after row, each row's in patient order."""
-        if k not in self._missing:
-            rows, cols = np.nonzero(np.broadcast_to(self.y_missing, (k, self.n)))
-            self._missing[k] = (
-                rows, cols, _gather(self.x, rows, cols), _gather(self.z, rows, cols)
-            )
-        return self._missing[k]
+    def missing(self):
+        """Rows, patients, x and z of the missing outcomes, row after row,
+        each row's in patient order."""
+        if self._missing is None:
+            rows, cols = np.nonzero(self.y_missing)
+            self._missing = rows, cols, self.x[rows, cols], self.z[rows, cols]
+        return self._missing
 
     def select(self, keep):
-        """Keep the data of the rows ``keep``; shared data stays as it is."""
-        if self.x.ndim == 1:
-            return
+        """Keep (copies of) the data of the rows ``keep``."""
         for name in ("z", "x", "y", "y_missing", "base_labels", "sigma2_init"):
             setattr(self, name, getattr(self, name)[keep])
         center = self.outcome_priors.center[keep]
         self.outcome_priors = replace(self.outcome_priors, center=center)
         self.mixture = self.mixture.select(keep)
-        self._missing.clear()
+        self._missing = None
 
 
 def _sample_memberships(ctx: _ChainContext, state, params: ParameterState, rng):
@@ -464,34 +444,32 @@ def _sample_memberships(ctx: _ChainContext, state, params: ParameterState, rng):
     """
     slots = ctx.mixture
     u = slots.uniforms(rng)
-    labels, y_fill = np.atleast_2d(state.labels, state.y_fill)  # a lone chain is one row
-    y = y_fill[slots.rows, slots.cols]
+    y = state.y_fill.take(slots.flat)
     p = np.empty(u.shape)
     for arm, block in slots.arms:
-        p[:, block] = complier_probability(slots.x[..., block], y[:, block], arm, params)
-    slots.relabel(labels, u < p)
+        p[:, block] = complier_probability(slots.x[:, block], y[:, block], arm, params)
+    slots.relabel(state.labels, u < p)
 
 
 def _impute_missing(ctx: _ChainContext, state, params: ParameterState, rng):
-    labels, y_fill = np.atleast_2d(state.labels, state.y_fill)
-    rows, cols, x, z = ctx.missing(len(labels))
+    rows, cols, x, z = ctx.missing()
     if cols.size == 0:
         return
-    groups = outcome_groups(labels[rows, cols], z)
-    y_fill[rows, cols] = impute_outcomes(x, groups, params.outcome, rng, rows)
+    groups = outcome_groups(state.labels[rows, cols], z)
+    state.y_fill[rows, cols] = impute_outcomes(x, groups, params.outcome, rng, rows)
 
 
 def _impute_counterfactuals(ctx: _ChainContext, state, params: ParameterState, rng):
     compl = state.labels == COMPLIER
     state.y_cf.fill(np.nan)
-    chain, idx = np.nonzero(np.atleast_2d(compl))
+    chain, idx = np.nonzero(compl)
     if idx.size == 0:
         return
     cf_groups = np.where(
-        _gather(ctx.z, chain, idx) == 1, GROUP_COMPLIER_CTRL, GROUP_COMPLIER_TRT
+        ctx.z[chain, idx] == 1, GROUP_COMPLIER_CTRL, GROUP_COMPLIER_TRT
     ).astype(np.int8)
     state.y_cf[compl] = impute_outcomes(
-        _gather(ctx.x, chain, idx), cf_groups, params.outcome, rng, chain
+        ctx.x[chain, idx], cf_groups, params.outcome, rng, chain
     )
 
 
@@ -507,14 +485,11 @@ def compute_cace(state: StratumState, z):
     compl = state.labels == COMPLIER
     n_c = compl.sum(axis=-1)
     diff = state.y_fill - state.y_cf  # y(1) - y(0) of a treated complier
-    np.subtract(state.y_cf, state.y_fill, out=diff, where=np.asarray(z) != 1)
+    np.subtract(state.y_cf, state.y_fill, out=diff, where=z != 1)
     flat = diff[compl]
-    counts = np.atleast_1d(n_c)
-    ends = np.cumsum(counts)
-    sums = np.array([flat[a:b].sum() for a, b in zip(ends - counts, ends)])
-    cace = np.divide(
-        sums.reshape(n_c.shape), n_c, out=np.full(n_c.shape, np.nan), where=n_c > 0
-    )
+    ends = np.cumsum(n_c)
+    sums = np.array([flat[a:b].sum() for a, b in zip(ends - n_c, ends)])
+    cace = np.divide(sums, n_c, out=np.full(n_c.shape, np.nan), where=n_c > 0)
     return cace, n_c
 
 
@@ -522,20 +497,17 @@ class _Batch:
     """The chains a sweep advances: their streams, state, parameters and draws.
 
     Row r of every per-chain array belongs to chain ``chains[r]`` of fit
-    ``fits[r]``, which draws from stream ``chains[r]`` of seed ``seeds[r]``
-    (by default every row is a chain of the one fit of ``ctx.config``).  A
-    chain whose update turns singular leaves the batch with a
+    ``fits[r]``, which draws from stream ``chains[r]`` of seed ``seeds[r]``.
+    A chain whose update turns singular leaves the batch with a
     ``ChainFailure``; the other rows carry on with the draws they would make
     without it.
     """
 
-    def __init__(self, ctx: _ChainContext, chain_indices, seeds=None, fits=None):
+    def __init__(self, ctx: _ChainContext, chain_indices, seeds, fits):
         config = ctx.config
         self.ctx = ctx
         self.chains = np.asarray(chain_indices, dtype=int)
-        self.fits = np.zeros_like(self.chains) if fits is None else np.asarray(fits)
-        if seeds is None:
-            seeds = [config.seed] * self.chains.size
+        self.fits = np.asarray(fits)
         self.rngs = [
             RngStream(seed=int(seed), stream_id=int(k)).generator()
             for seed, k in zip(seeds, self.chains)
@@ -697,7 +669,7 @@ def _initial_params(ctx: _ChainContext, chains, rng) -> ParameterState:
             np.asarray(pr.dirichlet_concentration, float),
             rng,
         )
-        stratum = StratumProportions(coefficients_first(pi, pi.shape[:1]))
+        stratum = StratumProportions(coefficients_first(pi))
     op = ctx.outcome_priors
     intercept = op.center + delta * np.sqrt(op.intercept_variance)
     alpha = np.stack([np.stack([intercept, zero])] * 4)
@@ -706,11 +678,10 @@ def _initial_params(ctx: _ChainContext, chains, rng) -> ParameterState:
 
 
 def _initial_state(ctx: _ChainContext, params: ParameterState, rng) -> StratumState:
-    k = len(rng)
     state = StratumState(
-        labels=np.broadcast_to(ctx.base_labels, (k, ctx.n)).copy(),
-        y_fill=np.broadcast_to(ctx.y, (k, ctx.n)).copy(),
-        y_cf=np.full((k, ctx.n), np.nan),
+        labels=ctx.base_labels.copy(),
+        y_fill=ctx.y.copy(),
+        y_cf=np.full(ctx.y.shape, np.nan),
     )
     ctx.mixture.relabel(state.labels, ctx.mixture.uniforms(rng) < 0.5)
     _impute_missing(ctx, state, params, rng)

@@ -3,12 +3,15 @@
 Outcomes split into four groups: never-takers and always-takers (one group
 each under exclusion) and compliers by assigned arm.  Variants differ in how
 the covariate slope is tied: free per group, shared across groups, or absent.
+
+The updates take a batch of K chains, one generator each (``distributions``):
+outcomes, covariates and groups are (K, n) rows, and the parameters they
+return carry a trailing (K, 1) chain axis.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +19,6 @@ import numpy as np
 from .distributions import (
     NormalLinearPrior,
     chain_draws,
-    generators,
     ragged_draws,
     sample_conjugate_sums_2,
     sample_precision_gamma,
@@ -111,20 +113,11 @@ class OutcomePriors:
         )
 
 
-def group_means(x, groups, params: OutcomeParams, chain=None):
-    """Model mean for each patient given their outcome group.
-
-    With K chains in ``params``, ``groups`` is (K, n), or flat with ``chain``
-    giving each entry's chain.
-    """
-    x = np.asarray(x, dtype=float)
-    groups = np.asarray(groups)
-    a = params.alpha.reshape(4, 2, -1)
-    k = a.shape[-1]
-    if chain is None:
-        chain = np.arange(k).reshape(-1, *(1,) * (groups.ndim - 1))
-    cells = a.transpose(2, 0, 1).reshape(4 * k, 2)
-    return _cell_means(cells, groups + 4 * chain, x)
+def group_means(x, groups, params: OutcomeParams, chain):
+    """Model mean of each flat entry given its outcome group and its chain
+    among those of ``params``."""
+    cells = params.alpha.reshape(4, 2, -1).transpose(2, 0, 1).reshape(-1, 2)
+    return _cell_means(cells, groups + 4 * chain, np.asarray(x, dtype=float))
 
 
 def _cell_means(cells, bins, x):
@@ -143,19 +136,12 @@ def _group_sums(y, x, bins, n_cells):
     """Sufficient statistics per (chain, group) cell: n, sum x, sum x^2, sum y,
     sum xy, each of length ``n_cells``; every cell adds its patients in
     patient order."""
-    bins = bins.ravel()
-    xk = np.concatenate([x] * (y.size // x.size), axis=None)
+    bins, x, y = bins.ravel(), x.ravel(), y.ravel()
 
     def total(weights=None):
         return np.bincount(bins, weights=weights, minlength=n_cells)
 
-    return (
-        total().astype(float),
-        total(xk),
-        total(xk * xk),
-        total(y.ravel()),
-        total(xk * y.ravel()),
-    )
+    return total().astype(float), total(x), total(x * x), total(y), total(x * y)
 
 
 def _draw_shared_slope(counts, sx, sxx, sy, sxy, sigma2, priors, rng):
@@ -205,16 +191,13 @@ def update_outcome_params(
     ``SingularPosteriorError`` for the first singular chain before any chain
     draws.
     """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    lead = y.shape[:-1]
-    k = math.prod(lead)
+    k = len(y)
     mode = VARIANT_TABLE[variant].slope
     # cell 4 k + g holds group g of chain k
-    bins = np.asarray(groups) + 4 * np.arange(k).reshape(*lead, 1)
+    bins = groups + 4 * np.arange(k)[:, None]
     sums = _group_sums(y, x, bins, 4 * k)
-    counts, sx, sxx, sy, sxy = (s.reshape(*lead, 4) for s in sums)
-    sigma2 = np.reshape(sigma2, (*lead, 1))  # per chain, against the group axis
+    counts, sx, sxx, sy, sxy = (s.reshape(k, 4) for s in sums)
+    sigma2 = np.reshape(sigma2, (k, 1))  # per chain, against the group axis
 
     if mode == "shared":
         alpha = _draw_shared_slope(counts, sx, sxx, sy, sxy, sigma2, priors, rng)
@@ -242,22 +225,18 @@ def update_outcome_params(
         rng,
     )
     return OutcomeParams(
-        coefficients_first(alpha, lead),
-        coefficients_first(1.0 / precision, lead),
-        variant,
+        coefficients_first(alpha), coefficients_first(1.0 / precision), variant
     )
 
 
-def impute_outcomes(x, groups, params: OutcomeParams, rng, chain=None):
+def impute_outcomes(x, groups, params: OutcomeParams, rng, chain):
     """Draw outcomes from their group regressions.
 
     Used for missing outcomes and for complier counterfactuals.  The inputs
-    are flat; with K chains, ``chain`` gives each entry's chain
-    (nondecreasing), and each chain draws its noise in one call.
+    are flat, ``chain`` giving each entry's chain (nondecreasing), and each
+    chain draws its noise in one call.
     """
-    if chain is None:
-        chain = np.zeros(len(x), dtype=np.intp)
     means = group_means(x, groups, params, chain)
     sd = np.sqrt(params.sigma2).reshape(-1)[chain]
-    counts = np.bincount(chain, minlength=len(generators(rng)))
+    counts = np.bincount(chain, minlength=len(rng))
     return means + sd * ragged_draws(rng, "standard_normal", counts)

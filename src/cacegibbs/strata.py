@@ -8,8 +8,8 @@ Every coefficient array may carry trailing draw axes after its coefficient
 axis (``beta`` of shape (4, D, 1), say): broadcasting against covariates of
 shape (n,) then evaluates all D saved draws at once as (D, n) arrays.  The
 sweep holds K chains this way, as (K, 1) trailing axes against (K, n)
-labels; the updates below take such a batch with one generator per chain
-(``distributions``), or a lone chain with a lone generator.
+labels and covariates; the updates below take such a batch, one row and one
+generator per chain (``distributions``).
 """
 
 from __future__ import annotations
@@ -32,14 +32,11 @@ NEVER_TAKER = 1
 ALWAYS_TAKER = 2
 
 
-def coefficients_first(values, lead):
-    """Per-chain values with the chains leading, ``lead`` = (K,), as the
-    parameter layout: the value axes first, then a (K, 1) chain axis that
-    broadcasts over patients.  A lone chain (``lead`` = ()) keeps its shape.
-    """
+def coefficients_first(values):
+    """Per-chain values with the K chains leading, in the parameter layout:
+    the value axes first, then a (K, 1) chain axis that broadcasts over
+    patients."""
     values = np.asarray(values)
-    if not lead:
-        return values
     return values.transpose(*range(1, values.ndim), 0)[..., None]
 
 
@@ -140,8 +137,6 @@ def sample_latent_utilities(labels, x, params: ProbitStratumParams, rng):
     clamped just past the bound so extreme transient coefficients cannot
     kill a chain.
     """
-    labels = np.asarray(labels)
-    x = np.asarray(x, dtype=float)
     b = params.beta
     not_never = labels != NEVER_TAKER
     u_never = truncated_normal_draws(b[0] + b[1] * x, 0.0, not_never, rng)
@@ -155,7 +150,7 @@ def sample_latent_utilities(labels, x, params: ProbitStratumParams, rng):
             0.0,
             above_c,
             rng,
-            np.atleast_1d(not_never.sum(axis=-1)),
+            not_never.sum(axis=-1),
         )
     return u_never, u_split
 
@@ -166,19 +161,16 @@ def update_probit_beta(u_never, u_split, x, prior_variance, rng):
     Both equations are unit-noise linear regressions of a utility on (1, x);
     the split equation uses only rows where u_split is present.  Coefficients
     are a priori independent N(0, prior_variance).  Each chain's split sums
-    run over its own rows, so they add up in the order a lone chain's do.
+    run over its own rows, so they add up in the order of a chain run alone.
     """
-    x = np.asarray(x, dtype=float)
-    u_never = np.asarray(u_never, dtype=float)
     prior = NormalLinearPrior.of((0.0, 0.0), (prior_variance, prior_variance))
-    lead = u_never.shape[:-1]
 
     # split sums chain by chain, over each chain's non-never-takers
     mask = ~np.isnan(u_split)
-    counts = np.atleast_1d(mask.sum(axis=-1))
+    counts = mask.sum(axis=-1)
     columns = np.empty((4, counts.sum()))
     xs, xxs, us, xus = columns
-    xs[:] = np.broadcast_to(x, mask.shape)[mask]
+    xs[:] = x[mask]
     np.multiply(xs, xs, out=xxs)
     us[:] = u_split[mask]
     np.multiply(xs, us, out=xus)
@@ -195,10 +187,8 @@ def update_probit_beta(u_never, u_split, x, prior_variance, rng):
     stats[0, :, 1] = counts
     stats[1:, :, 1] = np.transpose(split)
     # one call draws both equations, never then split, for every chain
-    coefs = sample_conjugate_sums_2(
-        *stats.reshape(5, *lead, 2), 1.0, prior, rng
-    )
-    return ProbitStratumParams(coefficients_first(coefs.reshape(*lead, 4), lead))
+    coefs = sample_conjugate_sums_2(*stats, 1.0, prior, rng)
+    return ProbitStratumParams(coefficients_first(coefs.reshape(counts.size, 4)))
 
 
 def mlogit_log_likelihood(labels, x, params: MlogitStratumParams):
@@ -207,8 +197,9 @@ def mlogit_log_likelihood(labels, x, params: MlogitStratumParams):
     return np.choose(labels, log_stratum_probs(x, params)).sum(axis=-1)
 
 
-def _gaussian_log_prior(coefs, prior_variance, lead):
-    return np.reshape(-0.5 * np.sum(coefs * coefs, axis=0) / prior_variance, lead)
+def _gaussian_log_prior(coefs, prior_variance):
+    """Each chain's log prior density of (2, K, 1) coefficients, up to a constant."""
+    return (-0.5 * np.sum(coefs * coefs, axis=0) / prior_variance)[:, 0]
 
 
 @dataclass
@@ -217,7 +208,7 @@ class MlogitProposal:
 
     ``sd_n`` and ``sd_a`` hold each block's (intercept, slope) scales and
     ``accepted``/``attempted`` the (never, always) block counts, one row per
-    chain; ``default()`` without a chain count is a lone chain's single row.
+    chain.
     """
 
     sd_n: np.ndarray
@@ -226,13 +217,12 @@ class MlogitProposal:
     attempted: np.ndarray
 
     @classmethod
-    def default(cls, n_chains=None):
-        lead = () if n_chains is None else (n_chains,)
+    def default(cls, n_chains):
         return cls(
-            sd_n=np.tile([0.5, 0.05], (*lead, 1)),
-            sd_a=np.tile([0.5, 0.05], (*lead, 1)),
-            accepted=np.zeros((*lead, 2)),
-            attempted=np.zeros((*lead, 2)),
+            sd_n=np.tile([0.5, 0.05], (n_chains, 1)),
+            sd_a=np.tile([0.5, 0.05], (n_chains, 1)),
+            accepted=np.zeros((n_chains, 2)),
+            attempted=np.zeros((n_chains, 2)),
         )
 
     def adapt(self, low=0.3, high=0.5, factor=1.25):
@@ -282,9 +272,7 @@ def update_mlogit_gamma(
     accepts or rejects on its own.  Acceptance counts accumulate in
     ``proposal`` for burn-in adaptation and the run report.
     """
-    labels = np.asarray(labels)
-    x = np.asarray(x, dtype=float)
-    lead = labels.shape[:-1]
+    k = len(labels)
     gamma_n = params.gamma_n.copy()
     gamma_a = params.gamma_a.copy()
 
@@ -293,7 +281,7 @@ def update_mlogit_gamma(
         ((gamma_n, proposal.sd_n), (gamma_a, proposal.sd_a))
     ):
         step = sd * chain_draws(rng, "standard_normal", sd.shape)
-        cand = gamma + coefficients_first(step, lead)
+        cand = gamma + coefficients_first(step)
         if block == 0:
             cand_params = MlogitStratumParams(cand, gamma_a)
         else:
@@ -302,23 +290,21 @@ def update_mlogit_gamma(
         log_ratio = (
             cand_ll
             - cur_ll
-            + _gaussian_log_prior(cand, prior_variance, lead)
-            - _gaussian_log_prior(gamma, prior_variance, lead)
+            + _gaussian_log_prior(cand, prior_variance)
+            - _gaussian_log_prior(gamma, prior_variance)
         )
-        accept = np.log(chain_draws(rng, "random", lead)) < log_ratio
-        proposal.attempted[..., block] += 1
-        proposal.accepted[..., block] += accept
-        gamma[:] = np.where(np.reshape(accept, gamma.shape[1:]), cand, gamma)
+        accept = np.log(chain_draws(rng, "random", (k,))) < log_ratio
+        proposal.attempted[:, block] += 1
+        proposal.accepted[:, block] += accept
+        gamma[:] = np.where(accept[:, None], cand, gamma)
         cur_ll = np.where(accept, cand_ll, cur_ll)
     return MlogitStratumParams(gamma_n, gamma_a)
 
 
 def update_proportions(labels, concentration, rng) -> StratumProportions:
     """Conjugate Dirichlet draw of the covariate-free stratum proportions."""
-    labels = np.asarray(labels)
-    lead = labels.shape[:-1]
-    rows = np.atleast_2d(labels)
-    bins = rows + 3 * np.arange(len(rows))[:, None]
-    counts = np.bincount(bins.ravel(), minlength=3 * len(rows)).astype(float)
-    pi = sample_dirichlet(counts.reshape(*lead, 3), concentration, rng)
-    return StratumProportions(coefficients_first(pi, lead))
+    k = len(labels)
+    bins = labels + 3 * np.arange(k)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=3 * k).astype(float)
+    pi = sample_dirichlet(counts.reshape(k, 3), concentration, rng)
+    return StratumProportions(coefficients_first(pi))

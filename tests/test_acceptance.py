@@ -33,6 +33,7 @@ from cacegibbs.distributions import (
     RngStream,
     conjugate_linear_posterior,
     sample_conjugate_linear,
+    sample_conjugate_sums_2,
     sample_dirichlet,
     sample_precision_gamma,
     truncated_normal_draws,
@@ -162,7 +163,7 @@ def test_criterion_4_distribution_primitives():
         a, b = ((bound - mean, np.inf) if above else (-np.inf, bound - mean))
         exact_mean, exact_var = stats.truncnorm.stats(a, b, loc=mean, moments="mv")
         draws = truncated_normal_draws(
-            np.full(n, mean), bound, np.full(n, above, dtype=bool), rng
+            np.full(n, mean), bound, np.full(n, above, dtype=bool), [rng]
         )
         assert abs(draws.mean() - exact_mean) < 4 * math.sqrt(exact_var / n)
         var_se = np.std((draws - exact_mean) ** 2) / math.sqrt(n)
@@ -186,7 +187,7 @@ def test_criterion_4_distribution_primitives():
     # precision update against its gamma posterior
     m = 20_000
     prec = np.array([
-        sample_precision_gamma(6.0, 4, 0.01, 0.01, rng) for _ in range(m)
+        sample_precision_gamma(6.0, 4, 0.01, 0.01, [rng]) for _ in range(m)
     ])
     shape, rate = 0.01 + 2.0, 0.01 + 3.0
     g_mean, g_var = shape / rate, shape / rate**2
@@ -199,7 +200,7 @@ def test_criterion_4_distribution_primitives():
     alpha = counts + 1.0
     total = alpha.sum()
     probs = np.array([
-        sample_dirichlet(counts, (1.0, 1.0, 1.0), rng) for _ in range(m)
+        sample_dirichlet(counts, (1.0, 1.0, 1.0), [rng]) for _ in range(m)
     ])
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     for j in range(3):
@@ -207,7 +208,19 @@ def test_criterion_4_distribution_primitives():
         d_var = alpha[j] * (total - alpha[j]) / (total**2 * (total + 1))
         assert abs(probs[:, j].mean() - d_mean) < 4 * math.sqrt(d_var / m)
 
-    _passed(4, "truncated normal, conjugate linear, gamma, dirichlet")
+    # the sweep's regression draw, fed the sums of the same design: one
+    # chain drawing m regressions in one call
+    m = 30_000
+    sums = (x.size, x.sum(), (x * x).sum(), y.sum(), (x * y).sum())
+    draws = sample_conjugate_sums_2(
+        *(np.full(m, float(v)) for v in sums), 2.0, prior, [rng]
+    )
+    for j in range(2):
+        sd_j = math.sqrt(post_cov[j, j])
+        assert abs(draws[:, j].mean() - post_mean[j]) < 4 * sd_j / math.sqrt(m)
+        assert abs(draws[:, j].var() - sd_j**2) < 4 * sd_j**2 * math.sqrt(2.0 / m)
+
+    _passed(4, "truncated normal, conjugate linear (design and sums), gamma, dirichlet")
 
 
 def test_criterion_5_convergence_diagnostic_calibration():

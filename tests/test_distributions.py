@@ -38,7 +38,7 @@ def test_derive_seed_stable_and_keyed():
 def test_truncated_tail_mean_matches_inverse_mills():
     """mean 0, sd 1, truncated above 2: mean is phi(2)/(1-Phi(2))."""
     rng = RngStream(seed=1).generator()
-    draws = truncated_normal_draws(np.zeros(20000), 2.0, np.ones(20000, bool), rng)
+    draws = truncated_normal_draws(np.zeros(20000), 2.0, np.ones(20000, bool), [rng])
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - 2.373215532822843) < 4 * se
     assert np.all(draws > 2.0)
@@ -47,7 +47,7 @@ def test_truncated_tail_mean_matches_inverse_mills():
 def test_truncated_half_normal_moments():
     rng = RngStream(seed=2).generator()
     means = np.zeros(100000)
-    draws = truncated_normal_draws(means, 0.0, np.ones(means.size, dtype=bool), rng)
+    draws = truncated_normal_draws(means, 0.0, np.ones(means.size, dtype=bool), [rng])
     n = draws.size
     assert abs(draws.mean() - 0.7978845608028654) < 4 * 0.6028102749890869 / np.sqrt(n)
     # sd of the half normal
@@ -57,7 +57,7 @@ def test_truncated_half_normal_moments():
 
 def test_truncated_below_by_symmetry():
     rng = RngStream(seed=3).generator()
-    draws = truncated_normal_draws(np.zeros(20000), 0.0, np.zeros(20000, bool), rng)
+    draws = truncated_normal_draws(np.zeros(20000), 0.0, np.zeros(20000, bool), [rng])
     assert np.all(draws < 0.0)
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() + 0.7978845608028654) < 4 * se
@@ -83,7 +83,7 @@ def test_truncated_moments_vs_exact_sweep():
         else:
             dist = truncnorm(-np.inf, bound - mean, loc=mean)
         n = 4000
-        draws = truncated_normal_draws(np.full(n, mean), bound, np.full(n, above), rng)
+        draws = truncated_normal_draws(np.full(n, mean), bound, np.full(n, above), [rng])
         exact_mean, exact_var = dist.stats(moments="mv")
         se = np.sqrt(float(exact_var) / n)
         assert abs(draws.mean() - float(exact_mean)) < 4 * se
@@ -97,7 +97,7 @@ def test_truncated_moments_vs_exact_sweep():
 def test_truncated_vacuous_bound_is_standard_normal():
     rng = RngStream(seed=6).generator()
     means = np.zeros(50000)
-    draws = truncated_normal_draws(means, -12.0, np.ones(means.size, dtype=bool), rng)
+    draws = truncated_normal_draws(means, -12.0, np.ones(means.size, dtype=bool), [rng])
     n = draws.size
     assert abs(draws.mean()) < 4 / np.sqrt(n)
     assert abs(draws.std(ddof=1) - 1.0) < 0.02
@@ -106,9 +106,9 @@ def test_truncated_vacuous_bound_is_standard_normal():
 def test_truncated_degenerate_raises_and_clamps():
     rng = RngStream(seed=7).generator()
     # an underflowed region is clamped so a chain survives a wild state
-    draws = truncated_normal_draws(np.zeros(3), 40.0, np.ones(3, dtype=bool), rng)
+    draws = truncated_normal_draws(np.zeros(3), 40.0, np.ones(3, dtype=bool), [rng])
     assert np.allclose(draws, 40.0 + 1e-8)
-    draws = truncated_normal_draws(np.zeros(3), -40.0, np.zeros(3, dtype=bool), rng)
+    draws = truncated_normal_draws(np.zeros(3), -40.0, np.zeros(3, dtype=bool), [rng])
     assert np.allclose(draws, -40.0 - 1e-8)
 
 
@@ -175,7 +175,7 @@ def test_sums_based_draw_matches_design_based_posterior():
     draws = np.array(
         [
             sample_conjugate_sums_2(
-                n, x.sum(), (x * x).sum(), y.sum(), (x * y).sum(), noise, prior, rng
+                n, x.sum(), (x * x).sum(), y.sum(), (x * y).sum(), noise, prior, [rng]
             )
             for _ in range(30000)
         ]
@@ -191,7 +191,7 @@ def test_constant_covariate_still_draws_finite():
     # collinear design is rescued by the proper prior
     rng = RngStream(seed=11).generator()
     prior = NormalLinearPrior(np.array([0.0, 0.0]), np.array([100.0, 100.0]))
-    draw = sample_conjugate_sums_2(4.0, 12.0, 36.0, 8.0, 24.0, 1.0, prior, rng)
+    draw = sample_conjugate_sums_2(4.0, 12.0, 36.0, 8.0, 24.0, 1.0, prior, [rng])
     assert np.all(np.isfinite(draw))
 
 
@@ -199,14 +199,14 @@ def test_singular_posterior_raises():
     rng = RngStream(seed=12).generator()
     prior = NormalLinearPrior(np.array([0.0, 0.0]), np.array([1e300, 1e300]))
     with pytest.raises(SingularPosteriorError):
-        sample_conjugate_sums_2(4.0, 12.0, 36.0, 8.0, 24.0, 1.0, prior, rng)
+        sample_conjugate_sums_2(4.0, 12.0, 36.0, 8.0, 24.0, 1.0, prior, [rng])
 
 
 def test_precision_gamma_moments():
     """residual ss 6 over 4 points: posterior Gamma(2.01, rate 3.01)."""
     rng = RngStream(seed=13).generator()
     draws = np.array(
-        [sample_precision_gamma(6.0, 4, 0.01, 0.01, rng) for _ in range(100000)]
+        [sample_precision_gamma(6.0, 4, 0.01, 0.01, [rng]) for _ in range(100000)]
     )
     target_mean = 2.01 / 3.01
     target_sd = np.sqrt(2.01) / 3.01
@@ -219,7 +219,7 @@ def test_dirichlet_moments_and_simplex():
     rng = RngStream(seed=14).generator()
     counts = np.array([2.0, 3.0, 5.0])
     conc = np.array([1.0, 1.0, 1.0])
-    draws = np.array([sample_dirichlet(counts, conc, rng) for _ in range(50000)])
+    draws = np.array([sample_dirichlet(counts, conc, [rng]) for _ in range(50000)])
     assert np.allclose(draws.sum(axis=1), 1.0, atol=1e-12)
     target = np.array([3.0, 4.0, 6.0]) / 13.0
     sd = np.sqrt(target * (1 - target) / 14.0)

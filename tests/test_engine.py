@@ -1,5 +1,7 @@
 """Sampler orchestration checks: configs, membership draws, chains, pooling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -131,7 +133,7 @@ def test_membership_frequency_matches_probability():
     ] + [PatientRecord("t0", 1, 1, 47.0, 12.0)]
     ds = Dataset(records)
     config = ModelConfig(variant="D", **FAST)
-    ctx = _ChainContext(ds, config)
+    ctx = _ChainContext([ds], config, [0])  # a batch of one chain
     params = ParameterState(
         StratumProportions(np.array([0.25, 0.5, 0.25])),
         _flat_outcome([40.0, 0.0, 45.0, 0.0], 100.0),
@@ -139,29 +141,29 @@ def test_membership_frequency_matches_probability():
     state = StratumState(
         labels=ctx.base_labels.copy(),
         y_fill=ctx.y.copy(),
-        y_cf=np.full(ctx.n, np.nan),
+        y_cf=np.full(ctx.y.shape, np.nan),
     )
     rng = RngStream(seed=51).generator()
-    _sample_memberships(ctx, state, params, rng)
+    _sample_memberships(ctx, state, params, [rng])
     p = 0.36166446309228156
-    freq = float((state.labels[:n_mix] == COMPLIER).mean())
+    freq = float((state.labels[0, :n_mix] == COMPLIER).mean())
     assert abs(freq - p) < 4 * np.sqrt(p * (1 - p) / n_mix)
 
 
 def test_compute_cace_direct():
-    labels = np.array([COMPLIER, COMPLIER, 1, 2], dtype=np.int8)
-    z = np.array([1, 0, 0, 1])
+    labels = np.array([[COMPLIER, COMPLIER, 1, 2]], dtype=np.int8)
+    z = np.array([[1, 0, 0, 1]])
     state = StratumState(
         labels=labels,
-        y_fill=np.array([10.0, 3.0, 99.0, 99.0]),
-        y_cf=np.array([6.0, 8.0, np.nan, np.nan]),
+        y_fill=np.array([[10.0, 3.0, 99.0, 99.0]]),
+        y_cf=np.array([[6.0, 8.0, np.nan, np.nan]]),
     )
-    value, n_c = compute_cace(state, z)
+    (value,), (n_c,) = compute_cace(state, z)
     # treated complier: 10 - 6; control complier: 8 - 3
     assert value == pytest.approx(0.5 * (4.0 + 5.0))
     assert n_c == 2
-    state.labels = np.array([1, 1, 1, 2], dtype=np.int8)
-    value, n_c = compute_cace(state, z)
+    state.labels = np.array([[1, 1, 1, 2]], dtype=np.int8)
+    (value,), (n_c,) = compute_cace(state, z)
     assert np.isnan(value) and n_c == 0
 
 
@@ -205,8 +207,9 @@ def test_complier_indicators_only_vary_on_mixture_patients():
     """Checks on the live sweep state of every chain in a batch: labels,
     complier count, counterfactuals."""
     ds = _small_dataset(seed=2)
-    ctx = _ChainContext(ds, ModelConfig(variant="A", **FAST))
-    batch = _Batch(ctx, range(3))
+    config = ModelConfig(variant="A", **FAST)
+    ctx = _ChainContext([ds], config, [0] * 3)
+    batch = _Batch(ctx, range(3), [config.seed] * 3, [0] * 3)
     mixture = (ds.pattern == 0) | (ds.pattern == 3)
     z = np.asarray(ds.z)
     # complier groups far apart, so a counterfactual shows which it came from
@@ -449,3 +452,54 @@ def test_too_few_observed_outcomes_rejected():
     )
     with pytest.raises(ValidationError):
         run_chain(ds, ModelConfig(variant="D", **FAST), [0])
+
+
+# SHA-256 of every chain's params, cace and n_compliers bytes, in chain order
+# (fit after fit for a batch), recorded before the sampler took one batch
+# layout; a change to the sampler's arithmetic or draw order changes them.
+PINNED_FIT_DIGESTS = {
+    "A": "bb963fe9a86c6f74bb548f62012966b8571c5a52f057ee7a0f507f02597dd832",
+    "Astar": "9a60c0c67f2411465c17a1a0b1b3e9d8c6099ae04e521af90ffdb12d5c1f184b",
+    "B": "22ca66c897d88ee25e491e9317f67c642eae7d7dc0286144f368ec32ea3a1ac3",
+    "Cstar": "984c3d8207607c2d489946e327912f75fc3e39ea248735192aac3541f04c8eec",
+    "D": "2df0df281ba03091dc469529f66a8befc10fffe4e318bea0d459337842789f85",
+}
+PINNED_BATCH_DIGESTS = {
+    "A": "5d0350baf0b34e3e5242ede5742e638c9d9d1ec6ac9b9dad8db95fb42deccf97",
+    "Astar": "b539ac9a9825e817d50bd0e3185042b538c0b30aebbe0c56ba729e696aec6531",
+    "B": "cda80795642da82dea3f104ea5e37323d4105adf0eec72e23d6ab95eea0b6c01",
+    "Cstar": "f15321ee5dcb1f9a346ded634c903f3e2d74505a6e6eda1a1b7f384c00e51de7",
+    "D": "86a7de28c8c87c84d064a5f9f6a47be8291ce5ce620571405280a9b2e0e9cc90",
+}
+
+
+def _draws_digest(fits):
+    h = hashlib.sha256()
+    for fit in fits:
+        for chain in fit.chains:
+            for values in (chain.params, chain.cace, chain.n_compliers):
+                h.update(values.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("variant", ["A", "Astar", "B", "Cstar", "D"])
+def test_fit_draws_match_pinned_digest(variant):
+    """Three chains on the matched fixture, with its missing outcomes."""
+    ds = generate_matched_fixture(RngStream(seed=0))
+    config = ModelConfig(variant=variant, burn_in=30, kept=60, thin=3, n_chains=3, seed=7)
+    fit = run_model(ds, config)
+    assert _draws_digest([fit]) == PINNED_FIT_DIGESTS[variant]
+
+
+@pytest.mark.parametrize("variant", ["A", "Astar", "B", "Cstar", "D"])
+def test_batched_fit_draws_match_pinned_digest(variant):
+    """Three fits in one batch: 90-patient slices of a matched fixture with
+    42, 40 and 40 missing outcomes and 81, 73 and 53 mixture patients."""
+    records = generate_matched_fixture(RngStream(seed=11)).records
+    datasets = [Dataset(records[start : start + 90]) for start in (0, 20, 40)]
+    configs = [
+        ModelConfig(variant=variant, burn_in=30, kept=60, thin=3, n_chains=2, seed=seed)
+        for seed in (3, 4, 5)
+    ]
+    fits = run_model(datasets, configs)
+    assert _draws_digest(fits) == PINNED_BATCH_DIGESTS[variant]

@@ -92,7 +92,8 @@ def test_group_means_indexing():
     params = OutcomeParams(alpha, 1.0, "A")
     x = np.array([10.0, 10.0, 10.0, 10.0])
     groups = np.array([0, 1, 2, 3])
-    assert np.allclose(group_means(x, groups, params), [1.0, 12.0, -7.0, 9.0])
+    chain = np.zeros(4, dtype=np.intp)
+    assert np.allclose(group_means(x, groups, params, chain), [1.0, 12.0, -7.0, 9.0])
 
 
 def _simulate_groups(rng, n, alpha, sigma):
@@ -119,9 +120,11 @@ def test_update_recovers_coefficients(variant, alpha_true):
     draws = []
     sig_draws = []
     for _ in range(200):
-        p = update_outcome_params(y, x, groups, sigma**2, priors, variant, rng)
-        draws.append(p.alpha.copy())
-        sig_draws.append(p.sigma2)
+        p = update_outcome_params(
+            y[None], x[None], groups[None], sigma**2, priors, variant, [rng]
+        )
+        draws.append(p.alpha[..., 0, 0])
+        sig_draws.append(p.sigma2[0, 0])
     mean_alpha = np.mean(draws, axis=0)
     # per-group n ~ 1000: intercept se ~ sigma*sqrt(1/n + xbar^2/(n var_x)) ~ 0.35
     assert np.all(np.abs(mean_alpha[:, 0] - alpha_true[:, 0]) < 1.5)
@@ -143,7 +146,8 @@ def test_update_empty_group_draws_from_prior():
     priors = OutcomePriors(center=3.0, intercept_variance=4.0, slope_variance=0.25)
     empty = np.array(
         [
-            update_outcome_params(y, x, groups, 4.0, priors, "A", rng).alpha[2]
+            update_outcome_params(y[None], x[None], groups[None], 4.0, priors, "A", [rng])
+            .alpha[2, :, 0, 0]
             for _ in range(4000)
         ]
     )
@@ -166,7 +170,9 @@ def test_variance_update_matches_conjugate_moments():
     )  # pin coefficients at zero
     prec = np.array(
         [
-            1.0 / update_outcome_params(y, x, groups, 1.0, priors, "B", rng).sigma2
+            1.0
+            / update_outcome_params(y[None], x[None], groups[None], 1.0, priors, "B", [rng])
+            .sigma2[0, 0]
             for _ in range(20000)
         ]
     )
@@ -182,7 +188,7 @@ def test_impute_outcomes_moments():
     n = 40000
     x = np.full(n, 2.0)
     groups = np.array([0, 1] * (n // 2))
-    draws = impute_outcomes(x, groups, params, rng)
+    draws = impute_outcomes(x, groups, params, [rng], np.zeros(n, dtype=np.intp))
     g0 = draws[groups == 0]
     g1 = draws[groups == 1]
     assert abs(g0.mean() - 10.0) < 4 * 3.0 / np.sqrt(g0.size)
@@ -191,12 +197,13 @@ def test_impute_outcomes_moments():
 
 
 def _impute_sweep_counterfactuals(records, outcome, seed):
-    """Run the sweep's counterfactual block once, mixture patients as compliers."""
-    ctx = _ChainContext(Dataset(records), ModelConfig(variant=outcome.variant))
-    state = StratumState(ctx.base_labels.copy(), ctx.y.copy(), np.full(ctx.n, np.nan))
+    """Run the sweep's counterfactual block once for a batch of one chain,
+    mixture patients as compliers."""
+    ctx = _ChainContext([Dataset(records)], ModelConfig(variant=outcome.variant), [0])
+    state = StratumState(ctx.base_labels.copy(), ctx.y.copy(), np.full(ctx.y.shape, np.nan))
     params = ParameterState(StratumProportions(np.full(3, 1.0 / 3.0)), outcome)
-    _impute_counterfactuals(ctx, state, params, RngStream(seed=seed).generator())
-    return state.y_cf
+    _impute_counterfactuals(ctx, state, params, [RngStream(seed=seed).generator()])
+    return state.y_cf[0]
 
 
 def test_counterfactual_imputation_uses_opposite_arm():

@@ -157,7 +157,8 @@ def test_latent_utilities_respect_label_constraints():
     labels = rng.integers(0, 3, size=n).astype(np.int8)
     x = rng.normal(size=n)
     params = ProbitStratumParams(np.array([0.3, 0.1, -0.2, 0.4]))
-    u_never, u_split = sample_latent_utilities(labels, x, params, rng)
+    u_never, u_split = sample_latent_utilities(labels[None], x[None], params, [rng])
+    u_never, u_split = u_never[0], u_split[0]
     never = labels == NEVER_TAKER
     assert np.all(u_never[never] <= 0.0)
     assert np.all(u_never[~never] > 0.0)
@@ -172,7 +173,7 @@ def test_latent_utility_magnitudes_half_normal_at_zero_coefficients():
     labels = rng.integers(0, 3, size=n).astype(np.int8)
     x = rng.normal(size=n)
     params = ProbitStratumParams(np.zeros(4))
-    u_never, u_split = sample_latent_utilities(labels, x, params, rng)
+    u_never, u_split = sample_latent_utilities(labels[None], x[None], params, [rng])
     target = 0.7978845608028654  # mean of |N(0,1)|
     assert abs(np.abs(u_never).mean() - target) < 4 * 0.6028102749890869 / np.sqrt(n)
     mags = np.abs(u_split[~np.isnan(u_split)])
@@ -197,7 +198,8 @@ def test_probit_update_recovers_generating_coefficients():
     prior_variance = 5.0
     draws = np.array(
         [
-            update_probit_beta(u_never, u_split, x, prior_variance, rng).beta
+            update_probit_beta(u_never[None], u_split[None], x[None], prior_variance, [rng])
+            .beta[:, 0, 0]
             for _ in range(300)
         ]
     )
@@ -231,10 +233,10 @@ def test_probit_gibbs_matches_direct_posterior_sampler():
     params = ProbitStratumParams(np.zeros(4))
     gibbs = []
     for sweep in range(30000):
-        u_never, u_split = sample_latent_utilities(labels, x, params, rng)
-        params = update_probit_beta(u_never, u_split, x, prior_variance, rng)
+        u_never, u_split = sample_latent_utilities(labels[None], x[None], params, [rng])
+        params = update_probit_beta(u_never, u_split, x[None], prior_variance, [rng])
         if sweep >= 2000 and sweep % 14 == 0:
-            gibbs.append(params.beta.copy())
+            gibbs.append(params.beta[:, 0, 0])
     gibbs = np.array(gibbs)
 
     def log_post(beta):
@@ -268,32 +270,32 @@ def test_probit_gibbs_matches_direct_posterior_sampler():
 def test_mlogit_update_preserves_prior_without_data():
     """With an empty label vector the Metropolis target is the prior."""
     rng = RngStream(seed=35).generator()
-    labels = np.zeros(0, dtype=np.int8)
-    x = np.zeros(0)
+    labels = np.zeros((1, 0), dtype=np.int8)
+    x = np.zeros((1, 0))
     prior_variance = 1.0
-    params = MlogitStratumParams(np.zeros(2), np.zeros(2))
-    proposal = MlogitProposal.default()
+    params = MlogitStratumParams(np.zeros((2, 1, 1)), np.zeros((2, 1, 1)))
+    proposal = MlogitProposal.default(1)
     draws = []
     for sweep in range(40000):
-        params = update_mlogit_gamma(params, labels, x, prior_variance, rng, proposal)
+        params = update_mlogit_gamma(params, labels, x, prior_variance, [rng], proposal)
         if sweep < 4000:
             if sweep % 100 == 99:
                 proposal.adapt()
         elif sweep % 10 == 0:
-            draws.append(np.concatenate([params.gamma_n, params.gamma_a]))
+            draws.append(np.concatenate([params.gamma_n, params.gamma_a])[:, 0, 0])
     draws = np.array(draws)
     assert np.all(np.abs(draws.mean(axis=0)) < 0.12)
     assert np.all(np.abs(draws.std(axis=0) - 1.0) < 0.12)
 
 
 def test_mlogit_proposal_adaptation_bounds():
-    proposal = MlogitProposal.default()
+    proposal = MlogitProposal.default(1)
     sd0 = proposal.sd_n.copy()
     proposal.attempted[:] = 100
     proposal.accepted[:] = 90  # above the 0.5 ceiling: widen
     proposal.adapt()
     assert np.allclose(proposal.sd_n, sd0 * 1.25)
-    assert proposal.attempted[0] == 0 and proposal.accepted[0] == 0
+    assert proposal.attempted[0, 0] == 0 and proposal.accepted[0, 0] == 0
     proposal.attempted[:] = 100
     proposal.accepted[:] = 10  # below the 0.3 floor: shrink
     proposal.adapt()
@@ -313,16 +315,16 @@ def test_mlogit_update_recovers_generating_coefficients():
     u = rng.uniform(size=n)
     labels = np.where(u < p_c, COMPLIER, np.where(u < p_c + p_n, NEVER_TAKER, ALWAYS_TAKER)).astype(np.int8)
 
-    params = MlogitStratumParams(np.zeros(2), np.zeros(2))
-    proposal = MlogitProposal.default()
+    params = MlogitStratumParams(np.zeros((2, 1, 1)), np.zeros((2, 1, 1)))
+    proposal = MlogitProposal.default(1)
     kept = []
     for sweep in range(12000):
-        params = update_mlogit_gamma(params, labels, x, 5.0, rng, proposal)
+        params = update_mlogit_gamma(params, labels[None], x[None], 5.0, [rng], proposal)
         if sweep < 3000:
             if sweep % 100 == 99:
                 proposal.adapt()
         elif sweep % 5 == 0:
-            kept.append(np.concatenate([params.gamma_n, params.gamma_a]))
+            kept.append(np.concatenate([params.gamma_n, params.gamma_a])[:, 0, 0])
     kept = np.array(kept)
     est = kept.mean(axis=0)
     target = np.concatenate([truth.gamma_n, truth.gamma_a])
@@ -343,7 +345,7 @@ def test_update_proportions_is_conjugate_dirichlet():
     labels = np.array([0, 0, 1, 2, 2, 2], dtype=np.int8)
     conc = np.array([1.0, 1.0, 1.0])
     draws = np.array(
-        [update_proportions(labels, conc, rng).pi for _ in range(40000)]
+        [update_proportions(labels[None], conc, [rng]).pi[:, 0, 0] for _ in range(40000)]
     )
     target = np.array([3.0, 2.0, 4.0]) / 9.0
     sd = np.sqrt(target * (1 - target) / 10.0)
